@@ -246,7 +246,6 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
         raise ValueError("reduced order exceeds the system order")
     if opts is None:
         opts = IrkaOptions()
-    ops = OperatorSet(system)
     sigma, b_dirs, c_dirs = _default_irka_data(system, r)
     if opts.initial_shifts is not None:
         sigma = np.asarray(opts.initial_shifts, dtype=complex)
@@ -264,7 +263,10 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
     next_data = (sigma, b_dirs, c_dirs)
     for n_iter in range(1, opts.max_iter + 1):
         sigma, b_dirs, c_dirs = next_data
-        v, w = _rational_basis(ops, system, sigma, b_dirs, c_dirs)
+        # the shifts move every iteration and never return, so a fresh set
+        # per iteration frees the previous iteration's LUs
+        v, w = _rational_basis(OperatorSet(system), system, sigma, b_dirs,
+                               c_dirs)
         rom = project(system, _orth_pad(v, r), _orth_pad(w, r))
         lam, vl, vr = la.eig(rom.a, rom.e, left=True, right=True)
         lam, vl, vr = _sorted_spectral_data(lam, vl, vr)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from lrmor import LtiSystem, SingularOperatorError, init
+from lrmor import LtiSystem, SingularOperatorError, gen_fd_laplacian, init
 
 from conftest import scalar_system, sparse_random
 
@@ -320,3 +322,64 @@ class TestSizeAndCache:
             results = list(pool.map(work, range(32)))
         for out in results:
             np.testing.assert_allclose(out, ref, atol=1e-14)
+
+
+class TestOrdering:
+    """The symmetric-mode MMD ordering on A^T + A solves exactly on
+    structurally symmetric and non-symmetric patterns alike."""
+
+    @staticmethod
+    def _system(rng, symmetric, with_e, k):
+        if symmetric:
+            a = gen_fd_laplacian(6).a
+            e = sp.identity(36) - 0.05 * a if with_e else None
+        else:
+            a = -sparse_random(rng, 36)
+            e = sparse_random(rng, 36) if with_e else None
+        n = a.shape[0]
+        u = v = None
+        if k:
+            u = 0.3 * rng.standard_normal((n, k))
+            v = 0.3 * rng.standard_normal((n, k))
+        return LtiSystem(a=a, b=np.ones((n, 1)), c=np.ones((1, n)), e=e,
+                         u=u, v=v)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("with_e", [True, False])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_solves_match_dense(self, rng, symmetric, with_e, k):
+        sys_ = self._system(rng, symmetric, with_e, k)
+        ops = init(sys_)
+        pattern = (sys_.a != 0).astype(int)
+        assert ((pattern != pattern.T).nnz == 0) == symmetric
+        n = sys_.order
+        a, e = sys_.a.toarray(), sys_.dense_e()
+        a_eff = sys_.dense_a_eff()
+        b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for p in (-0.8, -0.8 + 1.3j):
+            for tr_a in ("N", "T"):
+                for tr_e in ("N", "T"):
+                    e_tr = e if tr_e == "N" else e.T
+                    for solve, coeff in ((ops.sol_ape, a),
+                                         (ops.sol_ape_splr, a_eff)):
+                        mat = (coeff if tr_a == "N" else coeff.T) + p * e_tr
+                        ref = np.linalg.solve(mat, b)
+                        x = solve(tr_a, p, tr_e, b)
+                        assert np.linalg.norm(x - ref) \
+                            <= 1e-12 * np.linalg.norm(ref)
+
+    def test_symmetric_ordering_reduces_fill(self):
+        sys_ = gen_fd_laplacian(30)
+        ops = init(sys_)
+        ops.sol_ape("N", -10.0, "N", np.ones(sys_.order))
+        lu = ops._cache[("ApE", -10.0, False)]
+        colamd = splu((sys_.a - 10.0 * sp.identity(sys_.order)).tocsc())
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_singular_shift_symmetric_ordering(self):
+        # tridiag(1, -2, 1) of order 3 has the eigenvalue -2, so A + 2I is
+        # exactly singular
+        a = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(3, 3))
+        ops = init(LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))))
+        with pytest.raises(SingularOperatorError):
+            ops.sol_ape("N", 2.0, "N", np.ones(3))
