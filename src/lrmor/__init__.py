@@ -19,7 +19,7 @@ from .operators import OperatorSet, init
 from .pmor import (InterpolatoryRom, ParametricSystem, PiecewiseRom,
                    TrainingSet, bspline2_coefficients, chebyshev_samples,
                    interpolatory_assemble, lagrange_coefficients, log_samples,
-                   piecewise_assemble, rom_transfer_eval, train)
+                   piecewise_assemble, train)
 from .sgrid import (SigmaGrid, read_grid_csv, sigma_error_grid, sigma_grid,
                     write_grid_csv)
 from .system import LtiSystem

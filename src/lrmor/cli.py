@@ -291,6 +291,9 @@ def cmd_pmor_interp(args):
 
 def cmd_sigma_grid(args):
     out = _outdir(args)
+    cfg = BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
+                      omega_range=args.omega_range,
+                      samples_per_axis=args.samples)
     if args.a_file is not None:
         if args.b_file is None or args.c_file is None:
             raise _UsageError("file input needs --a-file, --b-file and "
@@ -298,18 +301,9 @@ def cmd_sigma_grid(args):
         _require_files(args.a_file, args.e_file, args.b_file, args.c_file)
         obj = load_system(args.a_file, args.b_file, args.c_file,
                           e_path=args.e_file)
-        cfg = BenchConfig(grid_size=8, mu_range=args.mu_range,
-                          omega_range=args.omega_range,
-                          samples_per_axis=args.samples)
     elif args.model == "fd":
         obj = gen_fd_laplacian(args.grid)
-        cfg = BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
-                          omega_range=args.omega_range,
-                          samples_per_axis=args.samples)
     else:
-        obj, cfg = None, BenchConfig(
-            grid_size=args.grid, mu_range=args.mu_range,
-            omega_range=args.omega_range, samples_per_axis=args.samples)
         obj = gen_thermal_block_mini(cfg)
     grid = sigma_grid(obj, cfg)
     write_grid_csv(grid, os.path.join(out, "sigma_grid.csv"))

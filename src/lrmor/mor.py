@@ -23,15 +23,17 @@ _REAL_TOL = 1e-13
 
 @dataclass
 class Rom:
-    """Dense reduced-order realization plus the projection bases used."""
+    """Dense reduced-order realization plus the projection bases used
+    (``None`` for the interpolatory blend, which is not a projection).
+    Non-parametric: ``transfer(s)``, as on ``LtiSystem``."""
 
     e: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    v: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -67,11 +69,8 @@ def project(system: LtiSystem, v: np.ndarray, w: np.ndarray) -> Rom:
 
 
 def transfer_eval(system: LtiSystem, s) -> np.ndarray:
-    """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s."""
-    ops = OperatorSet(system)
-    solve = ops.sol_ape_splr if system.have_uv else ops.sol_ape
-    x = solve("N", -s, "N", system.b)
-    return -(system.c @ x) + system.d
+    """H(s) = C (sE - A)^{-1} B + D; function form of LtiSystem.transfer."""
+    return system.transfer(s)
 
 
 def square_root_method(zp: LowRankFactor, zq: LowRankFactor,

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SingularOperatorError
-from .system import LtiSystem
+
+if TYPE_CHECKING:  # system.py imports this module
+    from .system import LtiSystem
 
 _TRANS = ("N", "T")
 

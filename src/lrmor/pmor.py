@@ -34,6 +34,7 @@ class ParametricSystem:
     ``e_fn=None`` means the identity for every parameter value.  When the
     stiffness part has an affine decomposition A(mu) = A0 + mu * A1 it can
     be recorded in ``a_affine`` for consumers that exploit it.
+    ``instantiate(mu)`` returns the full-order ``LtiSystem`` at ``mu``.
     """
 
     a_fn: Callable
@@ -140,7 +141,8 @@ def _truncated_orth(m, tol):
 
 @dataclass
 class PiecewiseRom:
-    """Constant global projection bases valid over the whole domain."""
+    """Constant global projection bases valid over the whole domain;
+    ``instantiate(mu)`` projects the full-order system at ``mu`` on them."""
 
     psys: ParametricSystem
     v: np.ndarray
@@ -154,12 +156,12 @@ class PiecewiseRom:
     def order(self) -> int:
         return self.v.shape[1]
 
-    def reduce(self, mu: float) -> Rom:
+    def instantiate(self, mu: float) -> Rom:
         """Dense reduced matrices at one parameter value."""
         return project(self.psys.instantiate(mu), self.v, self.w)
 
     def transfer(self, mu: float, s) -> np.ndarray:
-        return self.reduce(mu).transfer(s)
+        return self.instantiate(mu).transfer(s)
 
 
 def piecewise_assemble(ts: TrainingSet, truncation_tol: float | None = None,
@@ -231,7 +233,9 @@ class InterpolatoryRom:
 
     Hhat(mu, s) = Chat(mu) (s Ehat - Ahat)^{-1} Bhat with
     Chat(mu) = [ell_1(mu) Chat^(1) ... ell_k(mu) Chat^(k)]; interpolation
-    runs in the log10 parameter coordinate.
+    runs in the log10 parameter coordinate.  ``instantiate(mu)`` blends the
+    output blocks into a ``Rom`` that shares the block pencil; the blend is
+    not a projection, so that ``Rom`` has no bases.
     """
 
     nodes_log10: np.ndarray
@@ -254,12 +258,15 @@ class InterpolatoryRom:
             return lagrange_coefficients(self.nodes_log10, x)
         return bspline2_coefficients(self.nodes_log10, x)
 
-    def transfer(self, mu: float, s) -> np.ndarray:
+    def instantiate(self, mu: float) -> Rom:
         ell = self.coefficients(mu)
         c_mu = np.hstack([li * ci for li, ci in zip(ell, self.c_blocks)])
-        x = la.solve(s * self.block_e - self.block_a, self.block_b)
         d_mu = sum(li * di for li, di in zip(ell, self.d_blocks))
-        return c_mu @ x + d_mu
+        return Rom(e=self.block_e, a=self.block_a, b=self.block_b, c=c_mu,
+                   d=d_mu)
+
+    def transfer(self, mu: float, s) -> np.ndarray:
+        return self.instantiate(mu).transfer(s)
 
 
 def interpolatory_assemble(ts: TrainingSet, basis_kind: str = "lagrange"
@@ -283,8 +290,3 @@ def interpolatory_assemble(ts: TrainingSet, basis_kind: str = "lagrange"
         c_blocks=[rom.c.copy() for rom in roms],
         d_blocks=[rom.d.copy() for rom in roms],
         local_orders=ts.local_orders)
-
-
-def rom_transfer_eval(prom, mu: float, s) -> np.ndarray:
-    """Evaluate Hhat(mu, s) of a piecewise or interpolatory parametric ROM."""
-    return prom.transfer(mu, s)

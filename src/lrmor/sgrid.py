@@ -5,6 +5,11 @@ transfer matrix) or, for error grids, the relative deviation
 ||H - Hhat||_2 / ||H||_2.  Singular evaluation points are recorded as NaN
 cells rather than aborting the sweep.  Grids round-trip through CSV files
 with header ``mu,omega,value``.
+
+The sweeps know no model type: a parametric model's ``instantiate(mu)`` is
+called once per grid row and returns a non-parametric model, whose
+``transfer(s)`` is called once per cell.  A model without ``instantiate`` is
+non-parametric and serves every row as it is.
 """
 
 from __future__ import annotations
@@ -14,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularOperatorError
-from .mor import Rom, transfer_eval
-from .pmor import ParametricSystem
-from .system import LtiSystem
+from .pmor import log_samples
 
 
 @dataclass
@@ -34,49 +37,26 @@ class SigmaGrid:
 
 
 def parameter_samples(cfg) -> np.ndarray:
-    return np.logspace(np.log10(cfg.mu_range[0]), np.log10(cfg.mu_range[1]),
-                       cfg.samples_per_axis)
+    return log_samples(*cfg.mu_range, cfg.samples_per_axis)
 
 
 def frequency_samples(cfg) -> np.ndarray:
-    return np.logspace(np.log10(cfg.omega_range[0]),
-                       np.log10(cfg.omega_range[1]), cfg.samples_per_axis)
+    return log_samples(*cfg.omega_range, cfg.samples_per_axis)
 
 
-class _Evaluator:
-    """Uniform H(mu, s) access for full-order systems and parametric ROMs;
-    per-parameter work (instantiation, projection) is done once."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self._mu = None
-        self._frozen = None
-
-    def __call__(self, mu, s):
-        obj = self.obj
-        if isinstance(obj, LtiSystem):
-            return transfer_eval(obj, s)
-        if isinstance(obj, Rom):
-            return obj.transfer(s)
-        if isinstance(obj, ParametricSystem):
-            if self._mu != mu:
-                self._frozen = obj.instantiate(mu)
-                self._mu = mu
-            return transfer_eval(self._frozen, s)
-        if hasattr(obj, "reduce"):  # PiecewiseRom
-            if self._mu != mu:
-                self._frozen = obj.reduce(mu)
-                self._mu = mu
-            return self._frozen.transfer(s)
-        return obj.transfer(mu, s)  # InterpolatoryRom and look-alikes
+def _at(obj, mu):
+    """The non-parametric model of ``obj`` at ``mu``."""
+    return obj.instantiate(mu) if hasattr(obj, "instantiate") else obj
 
 
-def _sweep(cell, mus, omegas):
+def _sweep(cell, objs, mus, omegas):
+    """``cell(models, s)`` per cell; ``models`` are ``objs`` at the row's mu."""
     values = np.empty((len(mus), len(omegas)))
     for i, mu in enumerate(mus):
+        models = [_at(obj, mu) for obj in objs]
         for j, om in enumerate(omegas):
             try:
-                values[i, j] = cell(mu, 1j * om)
+                values[i, j] = cell(models, 1j * om)
             except (SingularOperatorError, np.linalg.LinAlgError):
                 values[i, j] = np.nan
     return values
@@ -90,35 +70,32 @@ def sigma_grid(obj, cfg=None, mus=None, omegas=None) -> SigmaGrid:
     axis (a single row with mu = 0 is produced unless ``mus`` is given).
     """
     mus, omegas = _resolve_samples(obj, cfg, mus, omegas)
-    ev = _Evaluator(obj)
 
-    def cell(mu, s):
-        return np.linalg.norm(np.atleast_2d(ev(mu, s)), 2)
+    def cell(models, s):
+        return np.linalg.norm(np.atleast_2d(models[0].transfer(s)), 2)
 
-    return SigmaGrid(mus, omegas, _sweep(cell, mus, omegas))
+    return SigmaGrid(mus, omegas, _sweep(cell, [obj], mus, omegas))
 
 
 def sigma_error_grid(full_obj, rom_obj, cfg=None, mus=None,
                      omegas=None) -> SigmaGrid:
     """Relative sigma-magnitude error ||H - Hhat||_2 / ||H||_2 per cell."""
     mus, omegas = _resolve_samples(full_obj, cfg, mus, omegas)
-    ev_full = _Evaluator(full_obj)
-    ev_rom = _Evaluator(rom_obj)
 
-    def cell(mu, s):
-        h = np.atleast_2d(ev_full(mu, s))
-        hh = np.atleast_2d(ev_rom(mu, s))
+    def cell(models, s):
+        full, rom = models
+        h = np.atleast_2d(full.transfer(s))
+        hh = np.atleast_2d(rom.transfer(s))
         ref = np.linalg.norm(h, 2)
         return np.linalg.norm(h - hh, 2) / ref
 
-    return SigmaGrid(mus, omegas, _sweep(cell, mus, omegas))
+    return SigmaGrid(mus, omegas,
+                     _sweep(cell, [full_obj, rom_obj], mus, omegas))
 
 
 def _resolve_samples(obj, cfg, mus, omegas):
-    parametric = isinstance(obj, ParametricSystem) or hasattr(obj, "reduce") \
-        or (hasattr(obj, "transfer") and not isinstance(obj, (LtiSystem, Rom)))
     if mus is None:
-        if parametric:
+        if hasattr(obj, "instantiate"):
             if cfg is None:
                 raise ValueError("need cfg or explicit mus for parametric "
                                  "input")

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .operators import OperatorSet
+
 
 def as_sparse(m, n=None):
     """Coerce a matrix to CSR, accepting dense arrays and any sparse format."""
@@ -97,6 +99,13 @@ class LtiSystem:
     @property
     def n_outputs(self) -> int:
         return self.c.shape[0]
+
+    def transfer(self, s) -> np.ndarray:
+        """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s."""
+        ops = OperatorSet(self)
+        solve = ops.sol_ape_splr if self.have_uv else ops.sol_ape
+        x = solve("N", -s, "N", self.b)
+        return -(self.c @ x) + self.d
 
     def with_update(self, u, v) -> "LtiSystem":
         """Copy of the system carrying the low-rank update ``u v^T``."""

@@ -225,7 +225,7 @@ def test_criterion_9_stability_preservation(thermal24):
     rng = np.random.default_rng(5)
     worst = -np.inf
     for mu in 10.0 ** rng.uniform(-6, 2, 20):
-        rom = prom.reduce(mu)
+        rom = prom.instantiate(mu)
         stable, abscissa = stability_check(rom.e, rom.a)
         assert stable
         worst = max(worst, abscissa)

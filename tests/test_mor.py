@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
+import lrmor
 from lrmor import (IrkaOptions, LowRankFactor, LtiSystem, LyapunovSpec,
                    RiccatiSpec, balanced_truncation, br_transform,
                    dense_lyap_solve, irka, lqg_transform, lr_adi, lr_newton,
@@ -37,13 +43,29 @@ class TestTransferEval:
                                        transfer_eval(sys_, s), atol=1e-10)
 
     def test_splr_transfer(self, rng):
-        base = random_stable_system(rng, 8, m=2, p=2)
-        sys_ = base.with_update(0.1 * rng.standard_normal((8, 1)),
-                                rng.standard_normal((8, 1)))
-        dense = LtiSystem(a=sys_.dense_a_eff(), b=sys_.b, c=sys_.c, d=sys_.d)
-        np.testing.assert_allclose(transfer_eval(sys_, 1.0 + 1.0j),
-                                   transfer_eval(dense, 1.0 + 1.0j),
-                                   atol=1e-10)
+        # LtiSystem.transfer is the method form of transfer_eval, with and
+        # without E and U V^T
+        for with_e in (False, True):
+            base = random_stable_system(rng, 8, m=2, p=2, with_e=with_e)
+            sys_ = base.with_update(0.1 * rng.standard_normal((8, 1)),
+                                    rng.standard_normal((8, 1)))
+            dense = LtiSystem(a=sys_.dense_a_eff(), b=sys_.b, c=sys_.c,
+                              d=sys_.d, e=sys_.e)
+            np.testing.assert_allclose(transfer_eval(sys_, 1.0 + 1.0j),
+                                       transfer_eval(dense, 1.0 + 1.0j),
+                                       atol=1e-10)
+            for model in (base, sys_):
+                np.testing.assert_array_equal(model.transfer(1.0 + 1.0j),
+                                              transfer_eval(model, 1.0 + 1.0j))
+
+    def test_modules_import_without_cycle(self):
+        # system imports operators at module level; operators must not
+        # need system at import time, whichever is imported first
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(lrmor.__file__).parents[1])}
+        for module in ("lrmor.system", "lrmor.operators"):
+            subprocess.run([sys.executable, "-c", f"import {module}"],
+                           check=True, env=env)
 
 
 class TestSquareRootMethod:

@@ -5,7 +5,7 @@ from lrmor import (BenchConfig, ParametricSystem, SolverError, TrainingSet,
                    bspline2_coefficients, chebyshev_samples,
                    gen_thermal_block_mini, interpolatory_assemble,
                    lagrange_coefficients, log_samples, piecewise_assemble,
-                   rom_transfer_eval, stability_check, train, transfer_eval)
+                   stability_check, train, transfer_eval)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestPiecewise:
         prom = piecewise_assemble(ts)
         for mu in (0.1, 1.0, 50.0):
             np.testing.assert_allclose(
-                rom_transfer_eval(prom, mu, 1j),
+                prom.transfer(mu, 1j),
                 transfer_eval(psys.instantiate(mu), 1j), atol=1e-12)
 
     def test_duplicate_basis_rank_unchanged(self, thermal12, ts_bt):
@@ -122,7 +122,7 @@ class TestPiecewise:
     def test_one_sided_stability(self, thermal12, ts_bt, rng):
         prom = piecewise_assemble(ts_bt, one_sided=True)
         for mu in 10.0 ** rng.uniform(-6, 2, 20):
-            rom = prom.reduce(mu)
+            rom = prom.instantiate(mu)
             stable, _ = stability_check(rom.e, rom.a)
             assert stable
 

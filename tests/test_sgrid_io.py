@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lrmor import (BenchConfig, LtiSystem, gen_fd_laplacian,
-                   gen_thermal_block_mini, load_system, project,
-                   read_dense, read_grid_csv, read_matrix, sigma_error_grid,
-                   sigma_grid, write_grid_csv, write_matrix)
+from lrmor import (BenchConfig, LtiSystem, ParametricSystem,
+                   gen_fd_laplacian, gen_thermal_block_mini,
+                   interpolatory_assemble, load_system, log_samples,
+                   piecewise_assemble, project, read_dense, read_grid_csv,
+                   read_matrix, sigma_error_grid, sigma_grid, train,
+                   write_grid_csv, write_matrix)
 from lrmor.sgrid import SigmaGrid, frequency_samples, parameter_samples
 
 from conftest import scalar_system
@@ -14,6 +16,8 @@ from conftest import scalar_system
 class TestSigmaGrid:
     def test_scalar_values(self):
         grid = sigma_grid(scalar_system(), omegas=[0.0, 1.0])
+        np.testing.assert_array_equal(grid.mus, [0.0])  # non-parametric
+        assert grid.values.shape == (1, 2)
         np.testing.assert_allclose(grid.values[0],
                                    [1.0, 1.0 / np.sqrt(2)], atol=1e-12)
 
@@ -47,9 +51,46 @@ class TestSigmaGrid:
         assert np.isnan(grid.values[0, 1])
         assert np.isfinite(grid.values[0, 2])
 
+    def test_singular_cell_of_parametric_system_is_nan(self):
+        # eigenvalues +-i*mu: of this grid only (mu, omega) = (1, 1) is
+        # singular
+        psys = ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
+                                b_fn=lambda mu: [[1.0], [0.0]],
+                                c_fn=lambda mu: [[0.0, 1.0]],
+                                domain=(0.5, 4.0))
+        grid = sigma_grid(psys, mus=[1.0, 2.0], omegas=[0.5, 1.0, 3.0])
+        expected = np.zeros((2, 3), dtype=bool)
+        expected[0, 1] = True
+        np.testing.assert_array_equal(np.isnan(grid.values), expected)
+
+    def test_parametric_input_needs_mus(self):
+        psys = gen_thermal_block_mini(BenchConfig(grid_size=8))
+        with pytest.raises(ValueError, match="parametric"):
+            sigma_grid(psys, omegas=[1.0])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             SigmaGrid([1.0], [1.0, 2.0], np.zeros((2, 2)))
+
+
+class TestParametricRomSweeps:
+    """Each sweep cell equals the ROM's own transfer(mu, s), bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def training(self):
+        psys = gen_thermal_block_mini(BenchConfig(grid_size=12))
+        return train(psys, log_samples(*psys.domain, 4), "bt-tol", tol=1e-4)
+
+    @pytest.mark.parametrize("assemble", [
+        lambda ts: piecewise_assemble(ts, one_sided=True),
+        interpolatory_assemble], ids=["piecewise", "interpolatory"])
+    def test_cells_match_transfer(self, training, assemble):
+        model = assemble(training)
+        mus, omegas = np.logspace(-5, 1, 4), np.logspace(-3, 3, 4)
+        grid = sigma_grid(model, mus=mus, omegas=omegas)
+        expected = [[np.linalg.norm(model.transfer(mu, 1j * w), 2)
+                     for w in omegas] for mu in mus]
+        np.testing.assert_array_equal(grid.values, expected)
 
 
 class TestCsvRoundTrip:
