@@ -15,7 +15,7 @@ from .mor import (BalancingTransform, HsvReport, IrkaOptions, IrkaResult,
                   Rom, balanced_truncation, br_transform, irka, lqg_transform,
                   pr_transform, project, square_root_method, transfer_eval,
                   transformed_residual, variant_residual)
-from .operators import OperatorSet, init
+from .operators import OperatorSet
 from .pmor import (InterpolatoryRom, ParametricSystem, PiecewiseRom,
                    TrainingSet, bspline2_coefficients, chebyshev_samples,
                    interpolatory_assemble, lagrange_coefficients, log_samples,

@@ -124,12 +124,9 @@ def _sym_eig_norm(f, signs):
     return float(np.abs(la.eigvalsh(small)).max())
 
 
-def lyap_residual(spec: LyapunovSpec, zf: LowRankFactor) -> ResidualReport:
-    """Spectral norm of the Lyapunov residual at P = Z Z^T, factored.
-
-    Stacks F = [A_eff Z, E Z, G] and evaluates the norm of the compressed
-    product; cost is O(n (2k + m)^2).
-    """
+def _factored_residual(spec, zf: LowRankFactor, quad=None) -> ResidualReport:
+    # ||F S F^T|| for F = [A_eff Z, E Z, G] (and E Z Z^T quad when given), S
+    # the swap block for the first two, +I for G and -I for the quadratic term
     ops = OperatorSet(spec.system)
     side = spec.side
     z = zf.z
@@ -137,34 +134,32 @@ def lyap_residual(spec: LyapunovSpec, zf: LowRankFactor) -> ResidualReport:
         raise ValueError(f"factor has {z.shape[0]} rows, expected {ops.size()}")
     g = constant_term_factor(spec.system, side)
     k, m = z.shape[1], g.shape[1]
-    az = ops.mul_a_splr(side, z)
     ez = ops.mul_e(side, z)
-    f = np.hstack([az, ez, g])
-    absolute = _sym_eig_norm(f, [(2 * k, _swap_block(k)), (m, np.eye(m))])
+    blocks = [ops.mul_a(side, z), ez, g]
+    signs = [(2 * k, _swap_block(k)), (m, np.eye(m))]
+    if quad is not None:
+        blocks.append(ez @ (z.T @ quad))
+        signs.append((quad.shape[1], -np.eye(quad.shape[1])))
+    absolute = _sym_eig_norm(np.hstack(blocks), signs)
     ref = spectral_norm(g) ** 2
     return ResidualReport(absolute, absolute / ref if ref > 0 else absolute)
+
+
+def lyap_residual(spec: LyapunovSpec, zf: LowRankFactor) -> ResidualReport:
+    """Spectral norm of the Lyapunov residual at P = Z Z^T, factored.
+
+    Stacks F = [A_eff Z, E Z, G] and evaluates the norm of the compressed
+    product; cost is O(n (2k + m)^2).
+    """
+    return _factored_residual(spec, zf)
 
 
 def riccati_residual(spec: RiccatiSpec, zf: LowRankFactor) -> ResidualReport:
-    """Spectral norm of the Riccati residual at Q = Z Z^T, factored."""
-    ops = OperatorSet(spec.system)
-    side = spec.side
-    z = zf.z
-    if z.shape[0] != ops.size():
-        raise ValueError(f"factor has {z.shape[0]} rows, expected {ops.size()}")
+    """Spectral norm of the Riccati residual at Q = Z Z^T, factored; F gains
+    the quadratic term's block E Z Z^T B (E Z Z^T C^T on side "N")."""
     sys_ = spec.system
-    g = constant_term_factor(sys_, side)
-    quad = sys_.b if side == "T" else sys_.c.T  # core of the quadratic term
-    k, m = z.shape[1], g.shape[1]
-    az = ops.mul_a_splr(side, z)
-    ez = ops.mul_e(side, z)
-    mq = ez @ (z.T @ quad)
-    f = np.hstack([az, ez, g, mq])
-    absolute = _sym_eig_norm(
-        f, [(2 * k, _swap_block(k)), (m, np.eye(m)),
-            (mq.shape[1], -np.eye(mq.shape[1]))])
-    ref = spectral_norm(g) ** 2
-    return ResidualReport(absolute, absolute / ref if ref > 0 else absolute)
+    return _factored_residual(spec, zf,
+                              quad=sys_.b if spec.side == "T" else sys_.c.T)
 
 
 # -- dense oracles -----------------------------------------------------------

@@ -127,7 +127,7 @@ def projection_shifts(ops: OperatorSet, basis: np.ndarray,
     u = u[:, keep]
     if u.shape[1] == 0:
         raise ValueError("projection basis has no numerical rank")
-    a_small = u.T @ ops.mul_a_splr("N", u)
+    a_small = u.T @ ops.mul_a("N", u)
     e_small = u.T @ ops.mul_e("N", u)
     ritz = la.eigvals(a_small, e_small)
     ritz = ritz[np.isfinite(ritz)]
@@ -178,10 +178,10 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10,
     steps = min(arnoldi_steps, n)
     cands = []
     fwd = _arnoldi_ritz(
-        lambda x: ops.sol_e("N", ops.mul_a_splr("N", x)), n, steps)
+        lambda x: ops.sol_e("N", ops.mul_a("N", x)), n, steps)
     cands.extend(fwd)
     inv = _arnoldi_ritz(
-        lambda x: ops.sol_a_splr("N", ops.mul_e("N", x)), n, steps)
+        lambda x: ops.sol_a("N", ops.mul_e("N", x)), n, steps)
     cands.extend(1.0 / mu for mu in inv if mu != 0)
     cands = np.asarray(cands, dtype=complex)
     cands = cands[np.isfinite(cands)]
@@ -275,17 +275,11 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
         opts = AdiOptions()
     ops = OperatorSet(spec.system)
     side = spec.side
-    splr = spec.system.have_uv
     g = constant_term_factor(spec.system, side)
     n = ops.size()
     res0 = spectral_norm(g) ** 2
     if res0 == 0.0:
         return AdiResult(LowRankFactor.empty(n), [], None, True, [])
-
-    def shifted_solve(p, rhs):
-        if splr:
-            return ops.sol_ape_splr(side, p, side, rhs)
-        return ops.sol_ape(side, p, side, rhs)
 
     supply = _ShiftSupply(ops, opts)
     w = g.astype(float).copy()
@@ -303,7 +297,7 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
             raise ValueError(f"unstable shift {p} supplied to lr_adi")
         is_real = abs(p.imag) <= _REAL_TOL * abs(p)
         try:
-            v = shifted_solve(p.real if is_real else p, w)
+            v = ops.sol_ape(side, p.real if is_real else p, side, w)
         except SingularOperatorError as exc:
             raise SingularOperatorError(
                 f"shift {p} coincides with a generalized eigenvalue") from exc

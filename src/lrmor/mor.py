@@ -61,7 +61,7 @@ def project(system: LtiSystem, v: np.ndarray, w: np.ndarray) -> Rom:
     v = np.atleast_2d(v)
     w = np.atleast_2d(w)
     return Rom(e=w.T @ ops.mul_e("N", v),
-               a=w.T @ ops.mul_a_splr("N", v),
+               a=w.T @ ops.mul_a("N", v),
                b=w.T @ system.b,
                c=system.c @ v,
                d=system.d.copy(),
@@ -172,7 +172,6 @@ def _sorted_spectral_data(lam, vl, vr):
 
 
 def _rational_basis(ops, system, sigma, b_dirs, c_dirs):
-    solve = ops.sol_ape_splr if system.have_uv else ops.sol_ape
     vcols, wcols = [], []
     i = 0
     r = len(sigma)
@@ -183,8 +182,8 @@ def _rational_basis(ops, system, sigma, b_dirs, c_dirs):
         shift = s
         for attempt in range(4):
             try:
-                x = solve("N", -shift, "N", rhs_v)
-                y = solve("T", -shift, "T", rhs_w)
+                x = ops.sol_ape("N", -shift, "N", rhs_v)
+                y = ops.sol_ape("T", -shift, "T", rhs_w)
                 break
             except SingularOperatorError:
                 if attempt == 3:

@@ -5,9 +5,11 @@ through an :class:`OperatorSet`.  The set performs structural sanity checks on
 construction, multiplies without densifying anything, and factorizes lazily:
 the first solve with A, E or a shifted A + pE triggers a sparse LU whose
 result is cached on the operator set (one factorization per distinct shift).
-Solves with the low-rank-updated coefficient A + U V^T are routed through the
-Sherman-Morrison-Woodbury identity on top of the cached base factorization,
-so the updated matrix is never formed.
+
+"A" always means the effective coefficient A + U V^T of a system that carries
+a low-rank update: every multiply applies the update factored, and every
+solve with A or A + pE runs one Sherman-Morrison-Woodbury step on top of the
+cached LU of the sparse base matrix, so the updated matrix is never formed.
 
 Fill-reducing ordering: every factorization uses SuperLU's symmetric mode
 with a minimum-degree ordering of A^T + A (``MMD_AT_PLUS_A``).  On the
@@ -50,6 +52,10 @@ def _finite(arr) -> bool:
 
 class OperatorSet:
     """Bound operation family for one :class:`~lrmor.system.LtiSystem`.
+
+    Every multiply and solve with A acts on A + U V^T when the system has the
+    update (``mul_a``, ``mul_ape``, ``sol_a``, ``sol_ape``); only the sparse
+    base matrices are factorized.
 
     The set is immutable apart from its factorization cache; cache insertion
     is lock-protected so concurrent readers may share one instance.  Results
@@ -104,10 +110,16 @@ class OperatorSet:
     # -- multiplications -----------------------------------------------------
 
     def mul_a(self, tr, x):
-        """A^tr @ x without densifying A."""
+        """(A + U V^T)^tr @ x without densifying A, the update factored."""
         _check_trans(tr)
-        a = self.system.a
-        return (a if tr == "N" else a.T) @ np.asarray(x)
+        sys_ = self.system
+        x = np.asarray(x)
+        y = (sys_.a if tr == "N" else sys_.a.T) @ x
+        if not sys_.have_uv:
+            return y
+        if tr == "N":
+            return y + sys_.u @ (sys_.v.T @ x)
+        return y + sys_.v @ (sys_.u.T @ x)
 
     def mul_e(self, tr, x):
         """E^tr @ x; identity shortcut when the system has no E."""
@@ -119,20 +131,9 @@ class OperatorSet:
         return (e if tr == "N" else e.T) @ x
 
     def mul_ape(self, tr_a, p, tr_e, x):
-        """(A^trA + p E^trE) @ x; complex ``p`` yields complex output."""
+        """((A + U V^T)^trA + p E^trE) @ x; complex ``p`` yields complex
+        output."""
         return self.mul_a(tr_a, x) + p * self.mul_e(tr_e, x)
-
-    def mul_a_splr(self, tr, x):
-        """(A + U V^T)^tr @ x, applying the update factored."""
-        _check_trans(tr)
-        y = self.mul_a(tr, x)
-        sys_ = self.system
-        if not sys_.have_uv:
-            return y
-        x = np.asarray(x)
-        if tr == "N":
-            return y + sys_.u @ (sys_.v.T @ x)
-        return y + sys_.v @ (sys_.u.T @ x)
 
     # -- factorization cache --------------------------------------------------
 
@@ -192,10 +193,28 @@ class OperatorSet:
             x = lu.solve(np.ascontiguousarray(rhs), trans=tr)
         return x[:, 0] if squeeze else x
 
+    def _woodbury(self, lu, tr, b):
+        # (M + u v^T)^{-1} b = y - M^{-1}u (I + v^T M^{-1}u)^{-1} v^T y for M
+        # the LU's matrix transposed per ``tr``, (u, v) = (U, V) for "N" and
+        # (V, U) for "T"; plain M^{-1} b without an update or with k = 0
+        y = self._lu_solve(lu, tr, b)
+        sys_ = self.system
+        if not sys_.have_uv or sys_.u.shape[1] == 0:
+            return y
+        u, v = (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
+        mu = self._lu_solve(lu, tr, u)
+        cap = np.eye(u.shape[1]) + v.T @ mu
+        try:
+            t = np.linalg.solve(cap, v.T @ (y if y.ndim == 2 else y[:, None]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError("singular capacitance matrix") from exc
+        corr = mu @ t
+        return y - (corr[:, 0] if y.ndim == 1 else corr)
+
     def sol_a(self, tr, b):
-        """Solve A^tr X = B via the cached sparse LU of A."""
+        """Solve (A + U V^T)^tr X = B via Woodbury on the cached LU of A."""
         _check_trans(tr)
-        return self._lu_solve(self._lu_a(), tr, b)
+        return self._woodbury(self._lu_a(), tr, b)
 
     def sol_e(self, tr, b):
         """Solve E^tr X = B; identity shortcut without E."""
@@ -205,58 +224,13 @@ class OperatorSet:
         return self._lu_solve(self._lu_e(), tr, b)
 
     def sol_ape(self, tr_a, p, tr_e, b):
-        """Solve (A^trA + p E^trE) X = B, one cached LU per distinct p.
+        """Solve ((A + U V^T)^trA + p E^trE) X = B via Woodbury on the cached
+        LU of A + pE, one LU per distinct p.
 
         A singular shifted matrix (the shift equals a generalized eigenvalue
-        of the pencil) raises :class:`SingularOperatorError` so the caller
-        can replace the shift.
+        of the pencil) or a singular capacitance matrix raises
+        :class:`SingularOperatorError` so the caller can replace the shift.
         """
         _check_trans(tr_a)
         _check_trans(tr_e)
-        lu = self._lu_ape(p, mixed=tr_a != tr_e)
-        return self._lu_solve(lu, tr_a, b)
-
-    # -- sparse-plus-low-rank solves -------------------------------------------
-
-    @staticmethod
-    def _woodbury(base_solve, u, v, b):
-        # (M + u v^T)^{-1} b = y - M^{-1}u (I + v^T M^{-1}u)^{-1} v^T y
-        y = base_solve(b)
-        k = u.shape[1]
-        if k == 0:
-            return y
-        mu = base_solve(u)
-        cap = np.eye(k) + v.T @ mu
-        try:
-            t = np.linalg.solve(cap, v.T @ (y if y.ndim == 2 else y[:, None]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError("singular capacitance matrix") from exc
-        corr = mu @ t
-        return y - (corr[:, 0] if y.ndim == 1 else corr)
-
-    def _splr_factors(self, tr):
-        sys_ = self.system
-        if not sys_.have_uv:
-            z = np.zeros((self.size(), 0))
-            return z, z
-        return (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
-
-    def sol_a_splr(self, tr, b):
-        """Solve (A + U V^T)^tr X = B without forming the updated matrix."""
-        _check_trans(tr)
-        u, v = self._splr_factors(tr)
-        return self._woodbury(lambda rhs: self.sol_a(tr, rhs), u, v,
-                              np.asarray(b))
-
-    def sol_ape_splr(self, tr_a, p, tr_e, b):
-        """Solve ((A + U V^T)^trA + p E^trE) X = B via Woodbury on A + pE."""
-        _check_trans(tr_a)
-        _check_trans(tr_e)
-        u, v = self._splr_factors(tr_a)
-        return self._woodbury(lambda rhs: self.sol_ape(tr_a, p, tr_e, rhs),
-                              u, v, np.asarray(b))
-
-
-def init(system: LtiSystem) -> OperatorSet:
-    """Build the operator set for ``system``, running all sanity checks."""
-    return OperatorSet(system)
+        return self._woodbury(self._lu_ape(p, mixed=tr_a != tr_e), tr_a, b)

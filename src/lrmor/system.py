@@ -102,9 +102,7 @@ class LtiSystem:
 
     def transfer(self, s) -> np.ndarray:
         """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s."""
-        ops = OperatorSet(self)
-        solve = ops.sol_ape_splr if self.have_uv else ops.sol_ape
-        x = solve("N", -s, "N", self.b)
+        x = OperatorSet(self).sol_ape("N", -s, "N", self.b)
         return -(self.c @ x) + self.d
 
     def with_update(self, u, v) -> "LtiSystem":

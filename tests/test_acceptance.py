@@ -12,10 +12,10 @@ import pytest
 import scipy.linalg as la
 
 from lrmor import (AdiOptions, BenchConfig, LtiSystem, LyapunovSpec,
-                   RiccatiSpec, balanced_truncation, br_transform,
+                   OperatorSet, RiccatiSpec, balanced_truncation, br_transform,
                    chebyshev_samples, closed_loop_check, dense_are_solve,
                    dense_lyap_solve, gen_fd_laplacian, gen_thermal_block_mini,
-                   init, interpolatory_assemble, irka, log_samples, lqg_transform,
+                   interpolatory_assemble, irka, log_samples, lqg_transform,
                    lr_adi, lr_newton, piecewise_assemble, pr_transform,
                    read_grid_csv, sigma_error_grid, stability_check, train,
                    transfer_eval)
@@ -246,9 +246,9 @@ def test_criterion_10_smw_correctness():
         u = rng.standard_normal((n, k)) * 0.3
         v = rng.standard_normal((n, k)) * 0.3
         sys_ = LtiSystem(a=a, b=np.ones((n, 1)), c=np.ones((1, n)), u=u, v=v)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((n, 2))
-        x = ops.sol_a_splr("N", b)
+        x = ops.sol_a("N", b)
         formed = a + u @ v.T
         rel = np.linalg.norm(formed @ x - b) / np.linalg.norm(b)
         assert rel <= 1e-10

@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg as la
 
 from lrmor import (AdiOptions, LowRankFactor, LtiSystem, LyapunovSpec,
-                   ShiftSet, SingularOperatorError, dense_lyap_solve,
-                   heuristic_shifts, init, lr_adi, lyap_residual,
+                   OperatorSet, ShiftSet, SingularOperatorError,
+                   dense_lyap_solve, heuristic_shifts, lr_adi, lyap_residual,
                    projection_shifts)
 
 from conftest import random_stable_system, scalar_system
@@ -41,7 +41,7 @@ class TestProjectionShifts:
     def test_full_basis_returns_eigenvalues(self):
         sys_ = LtiSystem(a=np.diag([-1.0, -4.0]), b=np.ones((2, 1)),
                          c=np.ones((1, 2)))
-        ss = projection_shifts(init(sys_), np.eye(2))
+        ss = projection_shifts(OperatorSet(sys_), np.eye(2))
         np.testing.assert_allclose(sorted(ss.values.real), [-4.0, -1.0],
                                    atol=1e-12)
         assert np.abs(ss.values.imag).max() <= 1e-12
@@ -49,22 +49,22 @@ class TestProjectionShifts:
     def test_conjugate_pair_adjacent(self):
         a = np.array([[-1.0, 2.0], [-2.0, -1.0]])  # eigenvalues -1 +- 2i
         sys_ = LtiSystem(a=a, b=np.ones((2, 1)), c=np.ones((1, 2)))
-        ss = projection_shifts(init(sys_), np.eye(2))
+        ss = projection_shifts(OperatorSet(sys_), np.eye(2))
         assert len(ss) == 2
         assert ss.values[1] == np.conj(ss.values[0])
 
     def test_fd_laplacian_residual_basis(self, fd10):
-        ss = projection_shifts(init(fd10), fd10.b)
+        ss = projection_shifts(OperatorSet(fd10), fd10.b)
         assert (ss.values.real < 0).all()
 
     def test_empty_basis_raises(self, fd7):
         with pytest.raises(ValueError, match="empty"):
-            projection_shifts(init(fd7), np.zeros((49, 0)))
+            projection_shifts(OperatorSet(fd7), np.zeros((49, 0)))
 
 
 class TestHeuristicShifts:
     def test_stable_and_usable(self, fd10):
-        ss = heuristic_shifts(init(fd10), num=6)
+        ss = heuristic_shifts(OperatorSet(fd10), num=6)
         assert (ss.values.real < 0).all()
         assert len(ss) >= 1
 

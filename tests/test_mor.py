@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import lrmor
 from lrmor import (IrkaOptions, LowRankFactor, LtiSystem, LyapunovSpec,
-                   RiccatiSpec, balanced_truncation, br_transform,
-                   dense_lyap_solve, irka, lqg_transform, lr_adi, lr_newton,
-                   pr_transform, project, spsd_factor, square_root_method,
-                   stability_check, transfer_eval)
+                   OperatorSet, RiccatiSpec, balanced_truncation, br_transform,
+                   dense_lyap_solve, heuristic_shifts, irka, lqg_transform,
+                   lr_adi, lr_newton, pr_transform, project, spsd_factor,
+                   square_root_method, stability_check, transfer_eval)
 from lrmor.mor import transformed_residual, variant_residual
 
 from conftest import random_stable_system, scalar_system
@@ -223,6 +224,33 @@ class TestIrka:
             h = transfer_eval(sys_, s) @ res.b_dirs[i]
             hh = res.rom.transfer(s) @ res.b_dirs[i]
             assert np.linalg.norm(h - hh) <= 1e-8 * np.linalg.norm(h)
+
+    def test_sparse_plus_low_rank_matches_formed(self, fd10, rng):
+        # the update goes through Woodbury, the formed copy through one LU;
+        # a tight stopping tolerance lets both runs reach the fixed point
+        n = fd10.order
+        u = 0.1 * rng.standard_normal((n, 2))
+        v = 0.1 * rng.standard_normal((n, 2))
+        updated = fd10.with_update(u, v)
+        formed = LtiSystem(a=sp.csr_matrix(fd10.a.toarray() + u @ v.T),
+                           b=fd10.b, c=fd10.c)
+
+        def same_points(x, y):
+            # conjugate pairs may come back in either order
+            dist = np.abs(x[:, None] - y[None, :])
+            worst = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+            return x.shape == y.shape and worst <= 1e-10 * np.abs(y).max()
+
+        opts = IrkaOptions(shift_change_tol=1e-12)
+        res_u, res_f = irka(updated, 4, opts), irka(formed, 4, opts)
+        assert res_u.converged and res_f.converged
+        assert same_points(res_u.shifts, res_f.shifts)
+        for w in (0.1, 1.0, 10.0, 100.0):
+            h_u = res_u.rom.transfer(1j * w)
+            h_f = res_f.rom.transfer(1j * w)
+            assert np.linalg.norm(h_u - h_f) <= 1e-10 * np.linalg.norm(h_f)
+        assert same_points(heuristic_shifts(OperatorSet(updated)).values,
+                           heuristic_shifts(OperatorSet(formed)).values)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from lrmor import LtiSystem, SingularOperatorError, gen_fd_laplacian, init
+from lrmor import (LtiSystem, OperatorSet, SingularOperatorError,
+                   gen_fd_laplacian)
 
 from conftest import scalar_system, sparse_random
 
@@ -23,20 +24,20 @@ class TestInit:
     def test_well_formed(self):
         sys_ = LtiSystem(a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]],
                          c=[[1.0, 1.0]], e=np.eye(2))
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         assert ops.size() == 2
 
     def test_dimension_mismatch(self):
         sys_ = LtiSystem(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)),
                          c=np.ones((1, 3)), e=np.eye(2))
         with pytest.raises(ValueError, match="E must match A"):
-            init(sys_)
+            OperatorSet(sys_)
 
     def test_b_rows_mismatch(self):
         sys_ = LtiSystem(a=np.diag([-1.0, -2.0]), b=np.ones((3, 1)),
                          c=np.ones((1, 2)))
         with pytest.raises(ValueError, match="B has"):
-            init(sys_)
+            OperatorSet(sys_)
 
     def test_update_needs_both_factors(self):
         with pytest.raises(ValueError, match="both U and V"):
@@ -47,67 +48,67 @@ class TestInit:
         sys_ = LtiSystem(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)),
                          u=np.ones((2, 1)), v=np.ones((2, 2)))
         with pytest.raises(ValueError, match="equal column"):
-            init(sys_)
+            OperatorSet(sys_)
 
     def test_non_finite_entry(self):
         sys_ = LtiSystem(a=np.diag([-1.0, np.inf]), b=np.ones((2, 1)),
                          c=np.ones((1, 2)))
         with pytest.raises(ValueError, match="non-finite"):
-            init(sys_)
+            OperatorSet(sys_)
 
 
 class TestMul:
     def test_mul_a_diagonal(self):
-        ops = init(LtiSystem(a=np.diag([2.0, 3.0]), b=np.ones((2, 1)),
-                             c=np.ones((1, 2))))
+        ops = OperatorSet(LtiSystem(a=np.diag([2.0, 3.0]), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2))))
         np.testing.assert_allclose(ops.mul_a("N", np.array([1.0, 1.0])),
                                    [2.0, 3.0])
 
     def test_mul_a_identity(self, rng):
-        ops = init(LtiSystem(a=np.eye(3), b=np.ones((3, 1)),
-                             c=np.ones((1, 3))))
+        ops = OperatorSet(LtiSystem(a=np.eye(3), b=np.ones((3, 1)),
+                                    c=np.ones((1, 3))))
         x = rng.standard_normal((3, 2))
         np.testing.assert_array_equal(ops.mul_a("N", x), x)
 
     def test_mul_a_matches_dense(self, rng):
         sys_ = _rand_sys(rng)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         a = sys_.a.toarray()
         x = rng.standard_normal((5, 2))
         np.testing.assert_allclose(ops.mul_a("N", x), a @ x, atol=1e-13)
         np.testing.assert_allclose(ops.mul_a("T", x), a.T @ x, atol=1e-13)
 
     def test_mul_e_identity_shortcut(self, rng):
-        ops = init(_rand_sys(rng, with_e=False))
+        ops = OperatorSet(_rand_sys(rng, with_e=False))
         x = rng.standard_normal((5, 3))
         np.testing.assert_array_equal(ops.mul_e("N", x), x)
 
     def test_mul_e_scaling(self):
-        ops = init(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
-                             c=np.ones((1, 2)), e=2 * np.eye(2)))
+        ops = OperatorSet(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2)), e=2 * np.eye(2)))
         np.testing.assert_allclose(ops.mul_e("N", np.array([1.0, 1.0])),
                                    [2.0, 2.0])
 
     def test_mul_e_matches_dense(self, rng):
         sys_ = _rand_sys(rng)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         x = rng.standard_normal((5, 2))
         np.testing.assert_allclose(ops.mul_e("T", x),
                                    sys_.e.toarray().T @ x, atol=1e-13)
 
     def test_mul_ape_cancellation(self):
-        ops = init(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
-                             c=np.ones((1, 2)), e=np.eye(2)))
+        ops = OperatorSet(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2)), e=np.eye(2)))
         out = ops.mul_ape("N", 1.0, "N", np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_mul_ape_scalar(self):
-        ops = init(scalar_system(a=-3.0, e=2.0))
+        ops = OperatorSet(scalar_system(a=-3.0, e=2.0))
         assert ops.mul_ape("N", 1.0, "N", np.array([4.0]))[0] == -4.0
 
     def test_mul_ape_matches_dense(self, rng):
         sys_ = _rand_sys(rng)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         a, e = sys_.a.toarray(), sys_.e.toarray()
         x = rng.standard_normal((5, 2))
         p = 0.7 - 1.3j
@@ -116,39 +117,37 @@ class TestMul:
 
     def test_mul_ape_zero_shift_is_mul_a(self, rng):
         sys_ = _rand_sys(rng)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         x = rng.standard_normal((5, 2))
         np.testing.assert_allclose(ops.mul_ape("N", 0.0, "N", x),
                                    ops.mul_a("N", x), atol=1e-14)
 
     def test_mul_a_splr(self, rng):
         sys_ = _rand_sys(rng, k=2)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         x = rng.standard_normal((5, 2))
         dense = sys_.a.toarray() + sys_.u @ sys_.v.T
-        np.testing.assert_allclose(ops.mul_a_splr("N", x), dense @ x,
-                                   atol=1e-12)
-        np.testing.assert_allclose(ops.mul_a_splr("T", x), dense.T @ x,
-                                   atol=1e-12)
+        np.testing.assert_allclose(ops.mul_a("N", x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(ops.mul_a("T", x), dense.T @ x, atol=1e-12)
 
 
 class TestSol:
     def test_sol_a_diagonal(self):
-        ops = init(LtiSystem(a=np.diag([2.0, 4.0]), b=np.ones((2, 1)),
-                             c=np.ones((1, 2))))
+        ops = OperatorSet(LtiSystem(a=np.diag([2.0, 4.0]), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2))))
         np.testing.assert_allclose(ops.sol_a("N", np.array([2.0, 4.0])),
                                    [1.0, 1.0])
 
     def test_sol_a_identity(self, rng):
-        ops = init(LtiSystem(a=np.eye(3), b=np.ones((3, 1)),
-                             c=np.ones((1, 3))))
+        ops = OperatorSet(LtiSystem(a=np.eye(3), b=np.ones((3, 1)),
+                                    c=np.ones((1, 3))))
         b = rng.standard_normal((3, 2))
         np.testing.assert_allclose(ops.sol_a("N", b), b, atol=1e-15)
 
     @pytest.mark.parametrize("tr", ["N", "T"])
     def test_sol_a_residual(self, rng, tr):
         sys_ = _rand_sys(rng, n=20)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((20, 3))
         x = ops.sol_a(tr, b)
         a = sys_.a.toarray()
@@ -157,25 +156,25 @@ class TestSol:
 
     def test_sol_mul_roundtrip(self, rng):
         sys_ = _rand_sys(rng, n=20)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         x = rng.standard_normal((20, 2))
         back = ops.sol_a("N", ops.mul_a("N", x))
         assert np.linalg.norm(back - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_sol_e_shortcut(self, rng):
-        ops = init(_rand_sys(rng, with_e=False))
+        ops = OperatorSet(_rand_sys(rng, with_e=False))
         b = rng.standard_normal(5)
         np.testing.assert_array_equal(ops.sol_e("N", b), b)
 
     def test_sol_e_scaling(self):
-        ops = init(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
-                             c=np.ones((1, 2)), e=2 * np.eye(2)))
+        ops = OperatorSet(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2)), e=2 * np.eye(2)))
         np.testing.assert_allclose(ops.sol_e("N", np.array([2.0, 2.0])),
                                    [1.0, 1.0])
 
     def test_sol_e_residual(self, rng):
         sys_ = _rand_sys(rng, n=15)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((15, 2))
         x = ops.sol_e("T", b)
         assert np.linalg.norm(sys_.e.toarray().T @ x - b) \
@@ -183,20 +182,20 @@ class TestSol:
 
     def test_sol_ape_trivial(self, rng):
         # A + 2E = I for A = -I, E = I
-        ops = init(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
-                             c=np.ones((1, 2)), e=np.eye(2)))
+        ops = OperatorSet(LtiSystem(a=-np.eye(2), b=np.ones((2, 1)),
+                                    c=np.ones((1, 2)), e=np.eye(2)))
         b = rng.standard_normal((2, 2))
         np.testing.assert_allclose(ops.sol_ape("N", 2.0, "N", b), b,
                                    atol=1e-14)
 
     def test_sol_ape_scalar(self):
-        ops = init(scalar_system(a=-1.0))
+        ops = OperatorSet(scalar_system(a=-1.0))
         np.testing.assert_allclose(
             ops.sol_ape("N", -1.0, "N", np.array([1.0])), [-0.5])
 
     def test_sol_ape_complex_residual(self, rng):
         sys_ = _rand_sys(rng, n=12)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((12, 2))
         p = -0.8 + 2.1j
         x = ops.sol_ape("T", p, "T", b)
@@ -205,7 +204,7 @@ class TestSol:
 
     def test_sol_ape_zero_shift_is_sol_a(self, rng):
         sys_ = _rand_sys(rng, n=8)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((8, 2))
         np.testing.assert_allclose(ops.sol_ape("N", 0.0, "N", b),
                                    ops.sol_a("N", b), atol=1e-13)
@@ -214,43 +213,45 @@ class TestSol:
         # p = -1 hits the eigenvalue +1 of the unstable pencil
         sys_ = LtiSystem(a=np.diag([1.0, -2.0]), b=np.ones((2, 1)),
                          c=np.ones((1, 2)), e=np.eye(2))
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         with pytest.raises(SingularOperatorError):
             ops.sol_ape("N", -1.0, "N", np.ones(2))
 
 
 class TestSolSplr:
+    """Solves on sparse-plus-low-rank systems: ``sol_a``/``sol_ape`` act on
+    A + U V^T through Woodbury."""
+
     def test_zero_column_update_is_sol_a(self, rng):
         sys_ = _rand_sys(rng, n=8)
         sys_u = sys_.with_update(np.zeros((8, 0)), np.zeros((8, 0)))
-        ops = init(sys_u)
         b = rng.standard_normal((8, 2))
-        np.testing.assert_allclose(ops.sol_a_splr("N", b), ops.sol_a("N", b),
-                                   atol=1e-12)
+        np.testing.assert_allclose(OperatorSet(sys_u).sol_a("N", b),
+                                   OperatorSet(sys_).sol_a("N", b), atol=1e-12)
 
     def test_scalar_smw(self):
         sys_ = LtiSystem(a=[[2.0]], b=[[1.0]], c=[[1.0]], u=[[1.0]],
                          v=[[3.0]])
-        ops = init(sys_)
-        np.testing.assert_allclose(ops.sol_a_splr("N", np.array([5.0])),
+        ops = OperatorSet(sys_)
+        np.testing.assert_allclose(ops.sol_a("N", np.array([5.0])),
                                    [1.0])
 
     @pytest.mark.parametrize("tr", ["N", "T"])
     def test_matches_formed_dense(self, rng, tr):
         sys_ = _rand_sys(rng, n=8, k=2)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((8, 3))
-        x = ops.sol_a_splr(tr, b)
+        x = ops.sol_a(tr, b)
         formed = sys_.a.toarray() + sys_.u @ sys_.v.T
         ref = np.linalg.solve(formed if tr == "N" else formed.T, b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_sol_ape_splr(self, rng):
         sys_ = _rand_sys(rng, n=8, k=2)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((8, 2))
         p = -1.5 + 0.4j
-        x = ops.sol_ape_splr("N", p, "N", b)
+        x = ops.sol_ape("N", p, "N", b)
         formed = sys_.a.toarray() + sys_.u @ sys_.v.T + p * sys_.e.toarray()
         assert np.linalg.norm(formed @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -258,23 +259,23 @@ class TestSolSplr:
         # 1 + v a^{-1} u = 1 - 1 = 0
         sys_ = LtiSystem(a=[[1.0]], b=[[1.0]], c=[[1.0]], u=[[1.0]],
                          v=[[-1.0]])
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         with pytest.raises(SingularOperatorError, match="capacitance"):
-            ops.sol_a_splr("N", np.array([1.0]))
+            ops.sol_a("N", np.array([1.0]))
 
 
 class TestSizeAndCache:
     def test_size(self, fd10):
-        assert init(fd10).size() == 100
-        assert init(scalar_system()).size() == 1
+        assert OperatorSet(fd10).size() == 100
+        assert OperatorSet(scalar_system()).size() == 1
         two = LtiSystem(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)))
-        assert init(two).size() == 2
+        assert OperatorSet(two).size() == 2
 
     def test_warm_cold_cache_agree(self, rng):
         sys_ = _rand_sys(rng, n=10)
         b = rng.standard_normal((10, 2))
-        cold = init(sys_)
-        warm = init(sys_)
+        cold = OperatorSet(sys_)
+        warm = OperatorSet(sys_)
         first = warm.sol_ape("N", -0.3, "N", b)
         second = warm.sol_ape("N", -0.3, "N", b)  # cache hit
         np.testing.assert_allclose(first, second, atol=1e-14)
@@ -284,19 +285,19 @@ class TestSizeAndCache:
 
     def test_transpose_consistency(self, rng):
         sys_ = _rand_sys(rng, n=9)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         x = rng.standard_normal((9, 3))
         np.testing.assert_allclose(ops.mul_a("T", x),
                                    sys_.a.toarray().T @ x, atol=1e-12)
 
     def test_invalid_transpose_flag(self, rng):
-        ops = init(_rand_sys(rng))
+        ops = OperatorSet(_rand_sys(rng))
         with pytest.raises(ValueError, match="transpose flag"):
             ops.mul_a("X", np.ones(5))
 
     def test_mixed_transpose_pattern_solve(self, rng):
         sys_ = _rand_sys(rng, n=7)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((7, 2))
         p = -0.9
         x = ops.sol_ape("N", p, "T", b)
@@ -311,7 +312,7 @@ class TestSizeAndCache:
     def test_concurrent_solves_share_cache_safely(self, rng):
         from concurrent.futures import ThreadPoolExecutor
         sys_ = _rand_sys(rng, n=30)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         b = rng.standard_normal((30, 2))
         ref = ops.sol_ape("N", -1.1, "N", b)
 
@@ -349,28 +350,26 @@ class TestOrdering:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_solves_match_dense(self, rng, symmetric, with_e, k):
         sys_ = self._system(rng, symmetric, with_e, k)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         pattern = (sys_.a != 0).astype(int)
         assert ((pattern != pattern.T).nnz == 0) == symmetric
         n = sys_.order
-        a, e = sys_.a.toarray(), sys_.dense_e()
-        a_eff = sys_.dense_a_eff()
+        e = sys_.dense_e()
+        a_eff = sys_.dense_a_eff()  # A itself for k = 0
         b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         for p in (-0.8, -0.8 + 1.3j):
             for tr_a in ("N", "T"):
                 for tr_e in ("N", "T"):
                     e_tr = e if tr_e == "N" else e.T
-                    for solve, coeff in ((ops.sol_ape, a),
-                                         (ops.sol_ape_splr, a_eff)):
-                        mat = (coeff if tr_a == "N" else coeff.T) + p * e_tr
-                        ref = np.linalg.solve(mat, b)
-                        x = solve(tr_a, p, tr_e, b)
-                        assert np.linalg.norm(x - ref) \
-                            <= 1e-12 * np.linalg.norm(ref)
+                    mat = (a_eff if tr_a == "N" else a_eff.T) + p * e_tr
+                    ref = np.linalg.solve(mat, b)
+                    x = ops.sol_ape(tr_a, p, tr_e, b)
+                    assert np.linalg.norm(x - ref) \
+                        <= 1e-12 * np.linalg.norm(ref)
 
     def test_symmetric_ordering_reduces_fill(self):
         sys_ = gen_fd_laplacian(30)
-        ops = init(sys_)
+        ops = OperatorSet(sys_)
         ops.sol_ape("N", -10.0, "N", np.ones(sys_.order))
         lu = ops._cache[("ApE", -10.0, False)]
         colamd = splu((sys_.a - 10.0 * sp.identity(sys_.order)).tocsc())
@@ -380,6 +379,6 @@ class TestOrdering:
         # tridiag(1, -2, 1) of order 3 has the eigenvalue -2, so A + 2I is
         # exactly singular
         a = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(3, 3))
-        ops = init(LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))))
+        ops = OperatorSet(LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))))
         with pytest.raises(SingularOperatorError):
             ops.sol_ape("N", 2.0, "N", np.ones(3))
