@@ -30,6 +30,10 @@ from .pmor import (ParametricSystem, chebyshev_samples,
                    train)
 from .sgrid import sigma_error_grid, sigma_grid, write_grid_csv
 
+# the two input file families; --e-file is the only optional file flag
+_PLAIN = ("a", "e", "b", "c")
+_AFFINE = ("a0", "a1", "b", "c")
+
 
 def _parse_range(text):
     try:
@@ -43,273 +47,219 @@ def _parse_range(text):
     return lo, hi
 
 
-def _outdir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _require_files(*paths):
+def _input_files(args, names):
+    """Paths of the ``--<x>-file`` flags for ``x`` in ``names``, in order."""
+    paths = [getattr(args, f"{x}_file") for x in names]
+    missing = [f"--{x}-file" for x, path in zip(names, paths)
+               if path is None and x != "e"]
+    if missing:
+        raise ValueError("file input needs " + ", ".join(missing))
     for path in paths:
         if path is not None and not os.path.exists(path):
             raise FileNotFoundError(f"input file not found: {path}")
+    return paths
 
 
-def _input_system(args):
+def _plain_system(args):
+    a, e, b, c = _input_files(args, _PLAIN)
+    return load_system(a, b, c, e_path=e)
+
+
+def _config(args, **kw):
+    return BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
+                       omega_range=args.omega_range, **kw)
+
+
+def _fd_or_files(args):
     if args.demo_fd is not None:
         return gen_fd_laplacian(args.demo_fd)
-    if args.a_file is None or args.b_file is None:
-        raise _UsageError("give --demo-fd N or --a-file/--b-file inputs")
-    _require_files(args.a_file, args.b_file, args.c_file, args.e_file)
-    if args.c_file is None:
-        raise _UsageError("--c-file is required with file inputs")
-    return load_system(args.a_file, args.b_file, args.c_file,
-                       e_path=args.e_file)
+    return _plain_system(args)
 
 
-class _UsageError(Exception):
-    pass
+def _bench_model(args):
+    if args.model == "fd":
+        system = gen_fd_laplacian(args.grid)
+        return {"A": system.a, "B": system.b, "C": system.c}
+    psys = gen_thermal_block_mini(_config(args))
+    a0, a1 = psys.a_affine
+    return {"A0": a0, "A1": a1, "B": psys.b_fn(1.0), "C": psys.c_fn(1.0)}
 
 
-def _add_input_flags(p):
-    p.add_argument("--demo-fd", type=int, default=None, metavar="N",
-                   help="use the generated FD Laplacian model of grid size N")
-    p.add_argument("--a-file")
-    p.add_argument("--e-file")
-    p.add_argument("--b-file")
-    p.add_argument("--c-file")
+def _parametric_input(args):
+    cfg = _config(args, samples_per_axis=args.grid_points)
+    if args.a0_file is None:
+        return gen_thermal_block_mini(cfg), cfg
+    a0, a1, b, c = _input_files(args, _AFFINE)
+    a0, a1 = read_matrix(a0).tocsr(), read_matrix(a1).tocsr()
+    b, c = read_dense(b), read_dense(c)
+    psys = ParametricSystem(a_fn=lambda mu: (a0 + mu * a1).tocsr(),
+                            b_fn=lambda mu: b, c_fn=lambda mu: c,
+                            domain=tuple(args.mu_range), a_affine=(a0, a1))
+    return psys, cfg
 
 
-def _add_common_flags(p):
-    p.add_argument("--out", default=".", help="output directory")
+def _sweep_input(args):
+    cfg = _config(args, samples_per_axis=args.samples)
+    if args.a_file is not None:
+        return _plain_system(args), cfg
+    if args.model == "fd":
+        return gen_fd_laplacian(args.grid), cfg
+    return gen_thermal_block_mini(cfg), cfg
 
 
-def _write_report(path, lines):
-    with open(path, "w", encoding="ascii") as fh:
+def _write_matrices(args, matrices):
+    for name, m in matrices.items():
+        write_matrix(os.path.join(args.out, f"{name}.mtx"), m)
+
+
+def _rom_matrices(rom):
+    return {f"rom_{x}": getattr(rom, x.lower()) for x in "EABCD"}
+
+
+def _write_report(args, lines):
+    name = args.command.replace("-", "_") + "_report.txt"
+    with open(os.path.join(args.out, name), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _history_lines(history):
-    return [f"  {i + 1:4d}  {r:.6e}" for i, r in enumerate(history)]
+def cmd_gen_bench(args, matrices):
+    _write_matrices(args, matrices)
+    print(f"benchmark model written to {args.out}")
+    return 0
 
 
-def cmd_gen_bench(args):
-    out = _outdir(args)
-    if args.model == "fd":
-        system = gen_fd_laplacian(args.grid)
-        write_matrix(os.path.join(out, "A.mtx"), system.a)
-        write_matrix(os.path.join(out, "B.mtx"), system.b)
-        write_matrix(os.path.join(out, "C.mtx"), system.c)
+def cmd_equation(args, system):
+    """``lyap`` (LR-ADI) and ``care`` (low-rank Newton)."""
+    if args.command == "lyap":
+        result = lr_adi(LyapunovSpec(system, args.side),
+                        AdiOptions(rel_tolerance=args.tol))
+        history, factors = result.residual_history, {"Z": result.z.z}
+        steps, method = f"{len(history)} iterations", "ADI"
     else:
-        cfg = BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
-                          omega_range=args.omega_range)
-        psys = gen_thermal_block_mini(cfg)
-        a0, a1 = psys.a_affine
-        write_matrix(os.path.join(out, "A0.mtx"), a0)
-        write_matrix(os.path.join(out, "A1.mtx"), a1)
-        write_matrix(os.path.join(out, "B.mtx"), psys.b_fn(1.0))
-        write_matrix(os.path.join(out, "C.mtx"), psys.c_fn(1.0))
-    print(f"benchmark model written to {out}")
-    return 0
-
-
-def cmd_lyap(args):
-    system = _input_system(args)
-    out = _outdir(args)
-    opts = AdiOptions(rel_tolerance=args.tol)
-    result = lr_adi(LyapunovSpec(system, args.side), opts)
-    final = result.residual_history[-1] if result.residual_history else 0.0
-    print(f"final relative residual: {final:.6e} after "
-          f"{len(result.residual_history)} iterations "
+        result = lr_newton(RiccatiSpec(system, args.side),
+                           NewtonOptions(rel_tolerance=args.tol))
+        history = result.newton_residuals
+        factors = {"Z": result.z.z, "K": result.k}
+        steps, method = f"{len(history) - 1} Newton steps", "Newton"
+    final = history[-1] if history else 0.0
+    print(f"final relative residual: {final:.6e} after {steps} "
           f"(converged: {result.converged})")
-    write_matrix(os.path.join(out, "Z.mtx"), result.z.z)
-    _write_report(os.path.join(out, "lyap_report.txt"),
-                  [f"equation side: {args.side}",
-                   f"order: {system.order}",
-                   f"tolerance: {args.tol:g}",
-                   f"converged: {result.converged}",
-                   f"factor columns: {result.z.columns}",
-                   "relative residual history:"] +
-                  _history_lines(result.residual_history))
+    _write_matrices(args, factors)
+    _write_report(args, [f"equation side: {args.side}",
+                         f"order: {system.order}",
+                         f"tolerance: {args.tol:g}",
+                         f"converged: {result.converged}",
+                         f"factor columns: {result.z.columns}",
+                         ("newton " if method == "Newton" else "") +
+                         "relative residual history:"] +
+                  [f"  {i + 1:4d}  {r:.6e}" for i, r in enumerate(history)])
     if not result.converged:
-        raise SolverError("ADI iteration did not converge")
+        raise SolverError(f"{method} iteration did not converge")
     return 0
 
 
-def cmd_care(args):
-    system = _input_system(args)
-    out = _outdir(args)
-    opts = NewtonOptions(rel_tolerance=args.tol)
-    result = lr_newton(RiccatiSpec(system, args.side), opts)
-    final = result.newton_residuals[-1]
-    print(f"final relative residual: {final:.6e} after "
-          f"{len(result.newton_residuals) - 1} Newton steps "
-          f"(converged: {result.converged})")
-    write_matrix(os.path.join(out, "Z.mtx"), result.z.z)
-    write_matrix(os.path.join(out, "K.mtx"), result.k)
-    _write_report(os.path.join(out, "care_report.txt"),
-                  [f"equation side: {args.side}",
-                   f"order: {system.order}",
-                   f"tolerance: {args.tol:g}",
-                   f"converged: {result.converged}",
-                   f"factor columns: {result.z.columns}",
-                   "newton relative residual history:"] +
-                  _history_lines(result.newton_residuals))
-    if not result.converged:
-        raise SolverError("Newton iteration did not converge")
-    return 0
-
-
-def _write_rom(out, rom, prefix="rom"):
-    write_matrix(os.path.join(out, f"{prefix}_E.mtx"), rom.e)
-    write_matrix(os.path.join(out, f"{prefix}_A.mtx"), rom.a)
-    write_matrix(os.path.join(out, f"{prefix}_B.mtx"), rom.b)
-    write_matrix(os.path.join(out, f"{prefix}_C.mtx"), rom.c)
-    write_matrix(os.path.join(out, f"{prefix}_D.mtx"), rom.d)
-
-
-def cmd_bt(args):
-    system = _input_system(args)
-    out = _outdir(args)
+def cmd_bt(args, system):
     if args.order is None and args.tol is None:
-        raise _UsageError("bt needs --order or --tol")
+        raise ValueError("bt needs --order or --tol")
     rom, report = balanced_truncation(
         system, order=args.order, tol=args.tol if args.order is None else None)
     print(f"reduced order: {rom.order}, error bound: "
           f"{report.error_bound:.6e}")
-    _write_rom(out, rom)
-    write_matrix(os.path.join(out, "hsv.mtx"),
-                 report.singular_values.reshape(-1, 1))
-    _write_report(os.path.join(out, "bt_report.txt"),
-                  [f"full order: {system.order}",
-                   f"reduced order: {rom.order}",
-                   f"error bound (2*sum truncated HSV): "
-                   f"{report.error_bound:.6e}",
-                   f"rank limited: {report.rank_limited}"])
+    _write_matrices(args, {**_rom_matrices(rom),
+                           "hsv": report.singular_values.reshape(-1, 1)})
+    _write_report(args, [f"full order: {system.order}",
+                         f"reduced order: {rom.order}",
+                         f"error bound (2*sum truncated HSV): "
+                         f"{report.error_bound:.6e}",
+                         f"rank limited: {report.rank_limited}"])
     return 0
 
 
-def cmd_irka(args):
-    system = _input_system(args)
-    out = _outdir(args)
+def cmd_irka(args, system):
     result = irka(system, args.order)
     print(f"IRKA order {result.rom.order}, converged: {result.converged} "
           f"after {result.n_iter} iterations")
-    _write_rom(out, result.rom)
-    _write_report(os.path.join(out, "irka_report.txt"),
-                  [f"full order: {system.order}",
-                   f"reduced order: {result.rom.order}",
-                   f"converged: {result.converged}",
-                   f"iterations: {result.n_iter}",
-                   "final interpolation points:"] +
+    _write_matrices(args, _rom_matrices(result.rom))
+    _write_report(args, [f"full order: {system.order}",
+                         f"reduced order: {result.rom.order}",
+                         f"converged: {result.converged}",
+                         f"iterations: {result.n_iter}",
+                         "final interpolation points:"] +
                   [f"  {s.real:+.6e} {s.imag:+.6e}j" for s in result.shifts])
     if not result.converged:
         raise SolverError("IRKA did not converge")
     return 0
 
 
-def _order_table(ts, prom=None):
-    lines = ["sample      mu           local order",
-             "-" * 38]
-    for i, (mu, r) in enumerate(zip(ts.samples, ts.local_orders)):
-        lines.append(f"{i + 1:4d}   {mu:12.4e}   {r:6d}")
-    lines.append("-" * 38)
-    lines.append(f"sum of local orders: {sum(ts.local_orders)}")
-    if prom is not None:
-        lines.append(f"concatenated columns: {prom.concatenated_columns}")
-        lines.append(f"order after rank truncation "
-                     f"({prom.truncation_tol:.1e}): {prom.order}")
-    return lines
-
-
-def _parametric_input(args):
-    cfg = BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
-                      omega_range=args.omega_range,
-                      samples_per_axis=args.grid_points)
-    if args.a0_file is not None:
-        if args.a1_file is None or args.b_file is None or \
-                args.c_file is None:
-            raise _UsageError("affine file input needs --a0-file, --a1-file, "
-                              "--b-file and --c-file")
-        _require_files(args.a0_file, args.a1_file, args.b_file, args.c_file)
-        a0 = read_matrix(args.a0_file).tocsr()
-        a1 = read_matrix(args.a1_file).tocsr()
-        b = read_dense(args.b_file)
-        c = read_dense(args.c_file)
-        psys = ParametricSystem(a_fn=lambda mu: (a0 + mu * a1).tocsr(),
-                                b_fn=lambda mu: b, c_fn=lambda mu: c,
-                                domain=tuple(args.mu_range),
-                                a_affine=(a0, a1))
-        return psys, cfg
-    return gen_thermal_block_mini(cfg), cfg
-
-
-def cmd_pmor_piecewise(args):
-    psys, cfg = _parametric_input(args)
-    out = _outdir(args)
-    mus = log_samples(*psys.domain, args.samples)
-    ts = train(psys, mus, args.method, tol=args.tol, order=args.order,
-               sampling_rule="log_equispaced")
-    prom = piecewise_assemble(ts, truncation_tol=args.trunc_tol,
-                              one_sided=args.one_sided)
-    grid = sigma_error_grid(psys, prom, cfg)
-    write_grid_csv(grid, os.path.join(out, "error_grid.csv"))
-    frac = float(np.mean(grid.values[np.isfinite(grid.values)] <= 1e-2))
-    print(f"piecewise ROM order {prom.order} "
-          f"(one_sided={args.one_sided}); relative error <= 1e-2 on "
-          f"{100 * frac:.1f}% of the grid")
-    _write_report(os.path.join(out, "pmor_piecewise_report.txt"),
-                  [f"method: {args.method}",
-                   f"one sided: {args.one_sided}",
-                   f"training samples: {args.samples} (log equi-spaced)",
-                   f"error grid: {args.grid_points} x {args.grid_points}",
-                   f"fraction of cells with relative error <= 1e-2: "
-                   f"{frac:.3f}", ""] + _order_table(ts, prom))
-    return 0
-
-
-def cmd_pmor_interp(args):
-    psys, cfg = _parametric_input(args)
-    out = _outdir(args)
-    mus = chebyshev_samples(*psys.domain, args.samples)
-    ts = train(psys, mus, args.method, tol=args.tol, order=args.order,
-               sampling_rule="chebyshev")
-    prom = interpolatory_assemble(ts, basis_kind=args.basis)
-    grid = sigma_error_grid(psys, prom, cfg)
-    write_grid_csv(grid, os.path.join(out, "error_grid.csv"))
-    frac = float(np.mean(grid.values[np.isfinite(grid.values)] <= 1e-2))
-    print(f"interpolatory ROM ({args.basis}) order {prom.order}; relative "
-          f"error <= 1e-2 on {100 * frac:.1f}% of the grid")
-    _write_report(os.path.join(out, "pmor_interp_report.txt"),
-                  [f"method: {args.method}",
-                   f"basis: {args.basis}",
-                   f"training samples: {args.samples} (chebyshev)",
-                   f"error grid: {args.grid_points} x {args.grid_points}",
-                   f"fraction of cells with relative error <= 1e-2: "
-                   f"{frac:.3f}", ""] + _order_table(ts))
-    return 0
-
-
-def cmd_sigma_grid(args):
-    out = _outdir(args)
-    cfg = BenchConfig(grid_size=args.grid, mu_range=args.mu_range,
-                      omega_range=args.omega_range,
-                      samples_per_axis=args.samples)
-    if args.a_file is not None:
-        if args.b_file is None or args.c_file is None:
-            raise _UsageError("file input needs --a-file, --b-file and "
-                              "--c-file")
-        _require_files(args.a_file, args.e_file, args.b_file, args.c_file)
-        obj = load_system(args.a_file, args.b_file, args.c_file,
-                          e_path=args.e_file)
-    elif args.model == "fd":
-        obj = gen_fd_laplacian(args.grid)
+def cmd_pmor(args, model):
+    """``pmor-piecewise`` and ``pmor-interp``: train, assemble, error grid."""
+    psys, cfg = model
+    piecewise = args.command == "pmor-piecewise"
+    sample, rule = ((log_samples, "log_equispaced") if piecewise
+                    else (chebyshev_samples, "chebyshev"))
+    ts = train(psys, sample(*psys.domain, args.samples), args.method,
+               tol=args.tol, order=args.order, sampling_rule=rule)
+    if piecewise:
+        prom = piecewise_assemble(ts, truncation_tol=args.trunc_tol,
+                                  one_sided=args.one_sided)
+        summary = (f"piecewise ROM order {prom.order} "
+                   f"(one_sided={args.one_sided})")
+        variant, rule_text = f"one sided: {args.one_sided}", "log equi-spaced"
+        assembly = [f"concatenated columns: {prom.concatenated_columns}",
+                    f"order after rank truncation "
+                    f"({prom.truncation_tol:.1e}): {prom.order}"]
     else:
-        obj = gen_thermal_block_mini(cfg)
+        prom = interpolatory_assemble(ts, basis_kind=args.basis)
+        summary = f"interpolatory ROM ({args.basis}) order {prom.order}"
+        variant, rule_text, assembly = f"basis: {args.basis}", rule, []
+    grid = sigma_error_grid(psys, prom, cfg)
+    write_grid_csv(grid, os.path.join(args.out, "error_grid.csv"))
+    frac = float(np.mean(grid.values[np.isfinite(grid.values)] <= 1e-2))
+    print(f"{summary}; relative error <= 1e-2 on {100 * frac:.1f}% of the "
+          "grid")
+    _write_report(args, [f"method: {args.method}", variant,
+                         f"training samples: {args.samples} ({rule_text})",
+                         f"error grid: {args.grid_points} x "
+                         f"{args.grid_points}",
+                         f"fraction of cells with relative error <= 1e-2: "
+                         f"{frac:.3f}", "",
+                         "sample      mu           local order", "-" * 38] +
+                  [f"{i + 1:4d}   {mu:12.4e}   {r:6d}" for i, (mu, r)
+                   in enumerate(zip(ts.samples, ts.local_orders))] +
+                  ["-" * 38, f"sum of local orders: {sum(ts.local_orders)}"]
+                  + assembly)
+    return 0
+
+
+def cmd_sigma_grid(args, model):
+    obj, cfg = model
     grid = sigma_grid(obj, cfg)
-    write_grid_csv(grid, os.path.join(out, "sigma_grid.csv"))
+    write_grid_csv(grid, os.path.join(args.out, "sigma_grid.csv"))
     print(f"sigma grid written ({grid.values.shape[0]} x "
           f"{grid.values.shape[1]} cells)")
     return 0
+
+
+def _command(sub, name, help, func, inputs, files=(), grid=None, model=None):
+    """Add a subcommand; every flag shared by two commands is declared here."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, inputs=inputs)
+    if model is not None:
+        p.add_argument("--model", choices=("fd", "thermal"), default=model)
+    if grid is not None:
+        p.add_argument("--grid", type=int, default=grid)
+        p.add_argument("--mu-range", type=_parse_range, default=(1e-6, 1e2))
+        p.add_argument("--omega-range", type=_parse_range,
+                       default=(1e-4, 1e4))
+    if inputs is _fd_or_files:
+        p.add_argument("--demo-fd", type=int, default=None, metavar="N",
+                       help="use the generated FD Laplacian model of grid "
+                            "size N")
+    for x in files:
+        p.add_argument(f"--{x}-file",
+                       help=f"matrix {x.upper()} (Matrix Market)")
+    p.add_argument("--out", default=".", help="output directory")
+    return p
 
 
 def build_parser():
@@ -318,105 +268,65 @@ def build_parser():
         description="low-rank matrix equation solvers and model reduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-bench", help="write a benchmark model")
-    p.add_argument("--model", choices=("fd", "thermal"), default="fd")
-    p.add_argument("--grid", type=int, default=10)
-    p.add_argument("--mu-range", type=_parse_range, default=(1e-6, 1e2))
-    p.add_argument("--omega-range", type=_parse_range, default=(1e-4, 1e4))
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_gen_bench)
+    _command(sub, "gen-bench", "write a benchmark model", cmd_gen_bench,
+             _bench_model, grid=10, model="fd")
 
-    p = sub.add_parser("lyap", help="solve a Lyapunov equation by LR-ADI")
-    _add_input_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--side", choices=("N", "T"), default="N")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_lyap)
+    for name, help, tol, side in (
+            ("lyap", "solve a Lyapunov equation by LR-ADI", 1e-10, "N"),
+            ("care", "solve a Riccati equation by low-rank Kleinman-Newton",
+             1e-9, "T")):
+        p = _command(sub, name, help, cmd_equation, _fd_or_files, _PLAIN)
+        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--side", choices=("N", "T"), default=side)
 
-    p = sub.add_parser("care", help="solve a Riccati equation by low-rank "
-                                    "Kleinman-Newton")
-    _add_input_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--side", choices=("N", "T"), default="T")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_care)
-
-    p = sub.add_parser("bt", help="balanced truncation")
-    _add_input_flags(p)
+    p = _command(sub, "bt", "balanced truncation", cmd_bt, _fd_or_files,
+                 _PLAIN)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bt)
 
-    p = sub.add_parser("irka", help="tangential IRKA")
-    _add_input_flags(p)
+    p = _command(sub, "irka", "tangential IRKA", cmd_irka, _fd_or_files,
+                 _PLAIN)
     p.add_argument("--order", type=int, required=True)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_irka)
 
-    for name, func in (("pmor-piecewise", cmd_pmor_piecewise),
-                       ("pmor-interp", cmd_pmor_interp)):
-        p = sub.add_parser(name, help=f"{name} reduction of the thermal "
-                                      "block benchmark")
-        p.add_argument("--grid", type=int, default=24)
+    for name in ("pmor-piecewise", "pmor-interp"):
+        p = _command(sub, name, f"{name} reduction of the thermal block "
+                                "benchmark",
+                     cmd_pmor, _parametric_input, _AFFINE, grid=24)
         p.add_argument("--samples", type=int, default=10,
                        help="number of training parameters")
         p.add_argument("--method", choices=("bt-tol", "bt-fixed", "irka"),
                        default="bt-tol")
         p.add_argument("--tol", type=float, default=1e-4)
         p.add_argument("--order", type=int, default=20)
-        p.add_argument("--mu-range", type=_parse_range, default=(1e-6, 1e2))
-        p.add_argument("--omega-range", type=_parse_range,
-                       default=(1e-4, 1e4))
         p.add_argument("--grid-points", type=int, default=30,
                        help="error grid resolution per axis")
-        p.add_argument("--a0-file", help="affine part A0 (Matrix Market)")
-        p.add_argument("--a1-file", help="affine part A1 (Matrix Market)")
-        p.add_argument("--b-file")
-        p.add_argument("--c-file")
         if name == "pmor-piecewise":
             p.add_argument("--one-sided", action="store_true")
             p.add_argument("--trunc-tol", type=float, default=None)
         else:
             p.add_argument("--basis", choices=("lagrange", "bspline2"),
                            default="lagrange")
-        _add_common_flags(p)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("sigma-grid", help="sample the transfer magnitude")
-    p.add_argument("--model", choices=("fd", "thermal"), default="thermal")
-    p.add_argument("--grid", type=int, default=24)
-    p.add_argument("--a-file", help="plain system from files instead")
-    p.add_argument("--e-file")
-    p.add_argument("--b-file")
-    p.add_argument("--c-file")
+    p = _command(sub, "sigma-grid", "sample the transfer magnitude",
+                 cmd_sigma_grid, _sweep_input, _PLAIN, grid=24,
+                 model="thermal")
     p.add_argument("--samples", type=int, default=100,
                    help="samples per grid axis")
-    p.add_argument("--mu-range", type=_parse_range, default=(1e-6, 1e2))
-    p.add_argument("--omega-range", type=_parse_range, default=(1e-4, 1e4))
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_sigma_grid)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        model = args.inputs(args)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args, model)
+    except SystemExit as exc:  # argparse: --help or a bad flag
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SolverError, SingularOperatorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

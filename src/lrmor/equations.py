@@ -92,6 +92,15 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def orthonormal_basis(m, tol: float | None = None) -> np.ndarray:
+    """Left singular vectors of ``m`` with singular value above ``tol`` times
+    the largest (default ``tol = max(m.shape) * eps``); none for a zero m."""
+    u, s, _ = la.svd(m, full_matrices=False)
+    if tol is None:
+        tol = max(m.shape) * np.finfo(float).eps
+    return u[:, s > tol * (s[0] if len(s) else 0.0)]
+
+
 def constant_term_factor(system: LtiSystem, side: str) -> np.ndarray:
     """Factor G of the constant term G G^T (B for side N, C^T for side T)."""
     return np.array(system.b if side == "N" else system.c.T, dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .equations import (LowRankFactor, LyapunovSpec, constant_term_factor,
-                        spectral_norm)
+                        orthonormal_basis, spectral_norm)
 from .errors import SingularOperatorError, SolverError
 from .operators import OperatorSet
 
@@ -122,9 +122,7 @@ def projection_shifts(ops: OperatorSet, basis: np.ndarray,
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] == 0:
         raise ValueError("empty projection basis")
-    u, s, _ = la.svd(basis, full_matrices=False)
-    keep = s > max(basis.shape) * np.finfo(float).eps * (s[0] if len(s) else 0)
-    u = u[:, keep]
+    u = orthonormal_basis(basis)
     if u.shape[1] == 0:
         raise ValueError("projection basis has no numerical rank")
     a_small = u.T @ ops.mul_a("N", u)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .equations import LowRankFactor, LyapunovSpec
+from .equations import LowRankFactor, LyapunovSpec, orthonormal_basis
 from .errors import SingularOperatorError, SolverError
 from .lradi import AdiOptions, lr_adi
 from .operators import OperatorSet
@@ -167,7 +167,15 @@ def _default_irka_data(system: LtiSystem, r: int):
 
 
 def _sorted_spectral_data(lam, vl, vr):
-    order = np.lexsort((lam.imag, lam.real))
+    """Sort the ROM poles by real part, each conjugate pair adjacent with its
+    negative-imaginary member first, so the shifts -lam list each pair
+    positive-imaginary first.  Both members sort on the upper one's real
+    part: their own real parts differ in the last bits, and sorting on them
+    could swap a pair between equivalent runs."""
+    key = lam.real.copy()
+    for i in np.flatnonzero(lam.imag > 0):
+        key[np.nanargmin(np.abs(lam - np.conj(lam[i])))] = key[i]
+    order = np.lexsort((lam.imag, key))
     return lam[order], vl[:, order], vr[:, order]
 
 
@@ -200,12 +208,6 @@ def _rational_basis(ops, system, sigma, b_dirs, c_dirs):
     return np.column_stack(vcols), np.column_stack(wcols)
 
 
-def _orth(m):
-    u, s, _ = la.svd(m, full_matrices=False)
-    keep = s > max(m.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    return u[:, keep]
-
-
 def _orth_pad(m, r):
     """Orthonormal n x r basis containing the column span of m.
 
@@ -213,7 +215,7 @@ def _orth_pad(m, r):
     padded with deterministic pseudo-random complements so the reduced
     order stays fixed across IRKA iterations.
     """
-    u = _orth(m)
+    u = orthonormal_basis(m)
     if u.shape[1] > r:
         return u[:, :r]
     rng = np.random.default_rng(0x1234)
@@ -221,7 +223,7 @@ def _orth_pad(m, r):
     while u.shape[1] < r and guard < 8:
         cand = rng.standard_normal((m.shape[0], r - u.shape[1]))
         cand = cand - u @ (u.T @ cand)
-        u = np.hstack([u, _orth(cand)])
+        u = np.hstack([u, orthonormal_basis(cand)])
         guard += 1
     if u.shape[1] != r:
         raise SolverError("could not complete a rank-deficient IRKA basis")
@@ -340,23 +342,31 @@ def pr_transform(system: LtiSystem) -> BalancingTransform:
     return BalancingTransform("positive_real", tilde, +1, r, r)
 
 
+def _dd_transform(system: LtiSystem, variant: str, sign: int
+                  ) -> BalancingTransform:
+    """Shared body of ``br_transform`` (sign -1) and ``lqg_transform``
+    (sign +1): I + sign D D^T stands for their I -/+ D D^T."""
+    d = system.d
+    p, m = d.shape
+    big = d @ d.T
+    op = "+" if sign > 0 else "-"
+    r = _chol_spd(np.eye(p) + sign * big, f"I {op} D D^T")
+    lf = _chol_spd(np.eye(m) + sign * (d.T @ d), f"I {op} D^T D")
+    bt = la.solve_triangular(lf, system.b.T, trans="T", lower=False).T
+    ct = la.solve_triangular(r, system.c, trans="T", lower=False)
+    v = la.solve(np.eye(p) + sign * big, system.c, assume_a="pos").T
+    tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
+                      u=-sign * (system.b @ d.T), v=v)
+    return BalancingTransform(variant, tilde, -sign, r, lf)
+
+
 def br_transform(system: LtiSystem) -> BalancingTransform:
     """Bounded-real balancing rewrite (needs ||D||_2 < 1).
 
     R^T R = I - D D^T, L^T L = I - D^T D; Btilde = B L^{-1},
     Ctilde = R^{-T} C, U = B D^T, V^T = (I - D D^T)^{-1} C.
     """
-    d = system.d
-    p, m = d.shape
-    big = d @ d.T
-    r = _chol_spd(np.eye(p) - big, "I - D D^T")
-    lf = _chol_spd(np.eye(m) - d.T @ d, "I - D^T D")
-    bt = la.solve_triangular(lf, system.b.T, trans="T", lower=False).T
-    ct = la.solve_triangular(r, system.c, trans="T", lower=False)
-    v = la.solve(np.eye(p) - big, system.c, assume_a="pos").T
-    tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
-                      u=system.b @ d.T, v=v)
-    return BalancingTransform("bounded_real", tilde, +1, r, lf)
+    return _dd_transform(system, "bounded_real", -1)
 
 
 def lqg_transform(system: LtiSystem) -> BalancingTransform:
@@ -367,17 +377,7 @@ def lqg_transform(system: LtiSystem) -> BalancingTransform:
     equation is a standard Riccati equation solvable by the low-rank Newton
     iteration with Woodbury-routed solves.
     """
-    d = system.d
-    p, m = d.shape
-    big = d @ d.T
-    r = la.cholesky(np.eye(p) + big, lower=False)
-    lf = la.cholesky(np.eye(m) + d.T @ d, lower=False)
-    bt = la.solve_triangular(lf, system.b.T, trans="T", lower=False).T
-    ct = la.solve_triangular(r, system.c, trans="T", lower=False)
-    v = la.solve(np.eye(p) + big, system.c, assume_a="pos").T
-    tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
-                      u=-(system.b @ d.T), v=v)
-    return BalancingTransform("lqg", tilde, -1, r, lf)
+    return _dd_transform(system, "lqg", +1)
 
 
 def variant_residual(system: LtiSystem, variant: str, x: np.ndarray,

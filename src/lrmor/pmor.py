@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as la
 
+from .equations import orthonormal_basis
 from .errors import SolverError
 from .mor import IrkaOptions, IrkaResult, Rom, balanced_truncation, irka, \
     project
@@ -133,10 +134,9 @@ def train(psys: ParametricSystem, samples, method: str, tol: float = 1e-4,
 
 
 def _truncated_orth(m, tol):
-    u, s, _ = la.svd(m, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
+    if not m.any():
         raise ValueError("cannot orthonormalize a zero basis")
-    return u[:, s > tol * s[0]]
+    return orthonormal_basis(m, tol)
 
 
 @dataclass

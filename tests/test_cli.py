@@ -2,9 +2,31 @@ import subprocess
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
-from lrmor import read_dense, read_grid_csv, read_matrix, write_matrix
+from lrmor import (gen_fd_laplacian, read_dense, read_grid_csv, read_matrix,
+                   write_matrix)
 from lrmor.cli import main
+
+ROM_FILES = ["rom_A.mtx", "rom_B.mtx", "rom_C.mtx", "rom_D.mtx", "rom_E.mtx"]
+
+
+def write_plain_files(path, grid=5, e=False):
+    """Write an FD model as A/B/C (and a diagonal E) files; return the
+    matching CLI flags."""
+    fd = gen_fd_laplacian(grid)
+    flags = []
+    mats = {"a": fd.a, "b": fd.b, "c": fd.c}
+    if e:
+        mats["e"] = sp.diags(1.0 + np.arange(fd.order) / fd.order)
+    for x, m in mats.items():
+        write_matrix(path / f"{x.upper()}.mtx", m)
+        flags += [f"--{x}-file", str(path / f"{x.upper()}.mtx")]
+    return flags
+
+
+def listing(path):
+    return sorted(p.name for p in path.iterdir())
 
 
 class TestLyapCommand:
@@ -31,6 +53,21 @@ class TestLyapCommand:
                      "--c-file", str(tmp_path / "C.mtx"),
                      "--out", str(tmp_path / "run")])
         assert code == 0
+
+    def test_e_file_input(self, tmp_path):
+        flags = write_plain_files(tmp_path, e=True)
+        code = main(["lyap"] + flags + ["--out", str(tmp_path / "run")])
+        assert code == 0
+        assert listing(tmp_path / "run") == ["Z.mtx", "lyap_report.txt"]
+
+    def test_side_t(self, tmp_path):
+        code = main(["lyap", "--demo-fd", "5", "--side", "T",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert listing(tmp_path) == ["Z.mtx", "lyap_report.txt"]
+        report = (tmp_path / "lyap_report.txt").read_text()
+        assert report.startswith("equation side: T\n")
+        assert read_dense(tmp_path / "Z.mtx").shape[0] == 25
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["lyap", "--a-file", "nope.mtx", "--b-file", "b.mtx",
@@ -66,6 +103,46 @@ class TestUsageErrors:
         code = main(["bt", "--demo-fd", "5", "--out", str(tmp_path)])
         assert code == 1
 
+    def test_plain_input_needs_c_file(self, tmp_path, capsys):
+        flags = write_plain_files(tmp_path)[:4]  # --a-file, --b-file only
+        code = main(["lyap"] + flags + ["--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "--c-file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_affine_input_needs_a1_file(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main(["gen-bench", "--model", "thermal", "--grid", "8",
+                     "--out", str(bench)]) == 0
+        code = main(["pmor-interp",
+                     "--a0-file", str(bench / "A0.mtx"),
+                     "--b-file", str(bench / "B.mtx"),
+                     "--c-file", str(bench / "C.mtx"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--a1-file" in err and "--a0-file" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_sigma_grid_files_need_b_file(self, tmp_path, capsys):
+        flags = write_plain_files(tmp_path)
+        del flags[2:4]  # drop --b-file
+        code = main(["sigma-grid"] + flags + ["--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "--b-file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_care_numerical_failure_exits_2(self, tmp_path):
+        # unstable scalar model: the stable shift hits the eigenvalue
+        for name in ("A", "B", "C"):
+            write_matrix(tmp_path / f"{name}.mtx", np.array([[1.0]]))
+        code = main(["care", "--a-file", str(tmp_path / "A.mtx"),
+                     "--b-file", str(tmp_path / "B.mtx"),
+                     "--c-file", str(tmp_path / "C.mtx"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert listing(tmp_path / "run") == []
+
 
 class TestPipelines:
     def test_gen_bench_fd(self, tmp_path):
@@ -88,6 +165,25 @@ class TestPipelines:
         final = float(capsys.readouterr().out.split(
             "final relative residual:")[1].split()[0])
         assert final <= 1e-9
+
+    def test_care_side_n(self, tmp_path):
+        code = main(["care", "--demo-fd", "5", "--side", "N",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert listing(tmp_path) == ["K.mtx", "Z.mtx", "care_report.txt"]
+        assert (tmp_path / "care_report.txt").read_text().startswith(
+            "equation side: N\n")
+
+    def test_file_inputs(self, tmp_path):
+        flags = write_plain_files(tmp_path)
+        runs = {"care": ([], ["K.mtx", "Z.mtx", "care_report.txt"]),
+                "bt": (["--order", "3"],
+                       ["bt_report.txt", "hsv.mtx"] + ROM_FILES),
+                "irka": (["--order", "2"], ["irka_report.txt"] + ROM_FILES)}
+        for cmd, (extra, files) in runs.items():
+            out = tmp_path / cmd
+            assert main([cmd] + flags + extra + ["--out", str(out)]) == 0
+            assert listing(out) == files
 
     def test_bt_demo(self, tmp_path):
         code = main(["bt", "--demo-fd", "7", "--order", "8",
@@ -144,6 +240,31 @@ class TestPipelines:
         assert code == 0
         grid = read_grid_csv(tmp_path / "run" / "error_grid.csv")
         assert grid.values.shape == (4, 4)
+
+    def test_pmor_piecewise_from_affine_files(self, tmp_path):
+        bench = tmp_path / "bench"
+        assert main(["gen-bench", "--model", "thermal", "--grid", "8",
+                     "--out", str(bench)]) == 0
+        code = main(["pmor-piecewise",
+                     "--a0-file", str(bench / "A0.mtx"),
+                     "--a1-file", str(bench / "A1.mtx"),
+                     "--b-file", str(bench / "B.mtx"),
+                     "--c-file", str(bench / "C.mtx"),
+                     "--samples", "4", "--grid-points", "4",
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert listing(tmp_path / "run") == ["error_grid.csv",
+                                             "pmor_piecewise_report.txt"]
+        grid = read_grid_csv(tmp_path / "run" / "error_grid.csv")
+        assert grid.values.shape == (4, 4)
+
+    def test_sigma_grid_fd_model(self, tmp_path):
+        code = main(["sigma-grid", "--model", "fd", "--grid", "6",
+                     "--samples", "4", "--out", str(tmp_path)])
+        assert code == 0
+        assert listing(tmp_path) == ["sigma_grid.csv"]
+        grid = read_grid_csv(tmp_path / "sigma_grid.csv")
+        assert grid.values.shape == (1, 4)
 
     def test_sigma_grid_from_files(self, tmp_path):
         from lrmor import gen_fd_laplacian
