@@ -217,6 +217,17 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10,
     return ShiftSet(_conjugate_close(np.asarray(chosen)))
 
 
+def shift_pool(ops: OperatorSet, opts: AdiOptions) -> ShiftSet | None:
+    """The fixed pool an LR-ADI run with ``opts`` cycles: the given
+    ``shifts``, else the heuristic set of ``max(shift_batch, 10)`` shifts
+    for the heuristic strategy, else ``None`` (projection shifts)."""
+    if opts.shifts is not None:
+        return opts.shifts
+    if opts.shift_strategy == "heuristic":
+        return heuristic_shifts(ops, num=max(opts.shift_batch, 10))
+    return None
+
+
 class _ShiftSupply:
     """Dispenses shifts: a fixed pool is cycled, the heuristic set is
     computed once and cycled, projection shifts are refreshed from the most
@@ -226,14 +237,10 @@ class _ShiftSupply:
         self.ops = ops
         self.opts = opts
         self.queue: list[complex] = []
-        self.cycle: np.ndarray | None = None
+        pool = shift_pool(ops, opts)
+        self.cycle = None if pool is None else pool.values
         self.idx = 0
         self.since_refresh = 0
-        if opts.shifts is not None:
-            self.cycle = opts.shifts.values
-        elif opts.shift_strategy == "heuristic":
-            self.cycle = heuristic_shifts(
-                ops, num=max(opts.shift_batch, 10)).values
 
     def next(self, w, recent_blocks):
         if self.cycle is not None:

@@ -9,6 +9,12 @@ A + (-B) K^T -- it is never formed.  The observability side ("T") is native;
 the controllability side is handled on the transposed realization.  An
 Armijo-type backtracking line search on the factored Riccati residual guards
 against residual growth of a full step.
+
+Every step system shares the sparse pencil (A, E) and its LU cache with the
+Riccati system, since the feedback only enters the update.  By default one
+heuristic shift pool of that pencil is computed once and cycled by every
+step's LR-ADI (as M-M.E.S.S. reuses its shifts), so each shift is factorized
+once for the whole iteration instead of once per step.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .equations import (LowRankFactor, LyapunovSpec, RiccatiSpec,
                         riccati_residual, spectral_norm, stability_check)
 from .errors import SolverError
-from .lradi import AdiOptions, lr_adi
+from .lradi import AdiOptions, lr_adi, shift_pool
 from .operators import OperatorSet
 from .system import LtiSystem
 
@@ -30,9 +36,21 @@ _MAX_HALVINGS = 8
 
 @dataclass
 class NewtonOptions:
+    """Options of :func:`lr_newton`.
+
+    ``inner`` configures every step's LR-ADI; its tolerance is replaced by
+    the forcing term.  With the default heuristic strategy and no
+    ``shifts``, one pool of ``max(shift_batch, 10)`` heuristic shifts of
+    the open-loop pencil serves every step, and the pencil's LU cache keeps
+    one factorization per pool shift.  ``shift_strategy="projection"``
+    takes fresh projection shifts in every step instead, which factorizes
+    anew in every step.
+    """
+
     max_newton_steps: int = 30
     rel_tolerance: float = 1e-9
-    inner: AdiOptions = field(default_factory=AdiOptions)
+    inner: AdiOptions = field(
+        default_factory=lambda: AdiOptions(shift_strategy="heuristic"))
     line_search: bool = True
 
     def __post_init__(self):
@@ -80,6 +98,8 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
         return NewtonResult(LowRankFactor.empty(n), np.zeros((b.shape[1], n)),
                             [0.0], True)
 
+    inner_opts = dataclasses.replace(opts.inner,
+                                     shifts=shift_pool(ops, opts.inner))
     z = LowRankFactor.empty(n)
     k = np.zeros((b.shape[1], n))
     prev_res = riccati_residual(spec, z).relative
@@ -92,7 +112,7 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
         forcing = min(0.1, 0.9 * prev_res)
         g_norm = spectral_norm(np.vstack([c, k])) ** 2
         inner_tol = max(forcing * prev_res * ref / g_norm,
-                        opts.inner.rel_tolerance)
+                        inner_opts.rel_tolerance)
         u_step = -b
         v_step = k.T
         if system.have_uv:
@@ -101,9 +121,9 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
         step_sys = LtiSystem(a=system.a, b=b, c=np.vstack([c, k]),
                              e=system.e, d=np.zeros((c.shape[0] + k.shape[0],
                                                      b.shape[1])),
-                             u=u_step, v=v_step)
+                             u=u_step, v=v_step, lu_cache=system.lu_cache)
         inner = lr_adi(LyapunovSpec(step_sys, side="T"),
-                       dataclasses.replace(opts.inner,
+                       dataclasses.replace(inner_opts,
                                            rel_tolerance=inner_tol))
         if not inner.converged:
             raise SolverError(

@@ -261,12 +261,10 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
     rom = None
     n_iter = 0
     next_data = (sigma, b_dirs, c_dirs)
+    ops = OperatorSet(system)
     for n_iter in range(1, opts.max_iter + 1):
         sigma, b_dirs, c_dirs = next_data
-        # the shifts move every iteration and never return, so a fresh set
-        # per iteration frees the previous iteration's LUs
-        v, w = _rational_basis(OperatorSet(system), system, sigma, b_dirs,
-                               c_dirs)
+        v, w = _rational_basis(ops, system, sigma, b_dirs, c_dirs)
         rom = project(system, _orth_pad(v, r), _orth_pad(w, r))
         lam, vl, vr = la.eig(rom.a, rom.e, left=True, right=True)
         lam, vl, vr = _sorted_spectral_data(lam, vl, vr)
@@ -338,7 +336,7 @@ def pr_transform(system: LtiSystem) -> BalancingTransform:
     bt = la.solve_triangular(r, system.b.T, trans="T", lower=False).T
     ct = la.solve_triangular(r, system.c, trans="T", lower=False)
     tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
-                      u=-bt, v=ct.T)
+                      u=-bt, v=ct.T, lu_cache=system.lu_cache)
     return BalancingTransform("positive_real", tilde, +1, r, r)
 
 
@@ -356,7 +354,8 @@ def _dd_transform(system: LtiSystem, variant: str, sign: int
     ct = la.solve_triangular(r, system.c, trans="T", lower=False)
     v = la.solve(np.eye(p) + sign * big, system.c, assume_a="pos").T
     tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
-                      u=-sign * (system.b @ d.T), v=v)
+                      u=-sign * (system.b @ d.T), v=v,
+                      lu_cache=system.lu_cache)
     return BalancingTransform(variant, tilde, -sign, r, lf)
 
 

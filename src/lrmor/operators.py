@@ -3,13 +3,19 @@
 All solver algorithms in this package touch the system matrices exclusively
 through an :class:`OperatorSet`.  The set performs structural sanity checks on
 construction, multiplies without densifying anything, and factorizes lazily:
-the first solve with A, E or a shifted A + pE triggers a sparse LU whose
-result is cached on the operator set (one factorization per distinct shift).
+the first solve with A, E or a shifted A + pE triggers a sparse LU.
+
+The LUs belong to the (A, E) pencil, not to the set: every
+:class:`~lrmor.system.LtiSystem` carries a :class:`LuCache`, which
+``with_update`` and Newton's step systems pass on, so every set over the same
+sparse ``a``/``e`` shares one factorization per shift.  The cache keeps at
+most ``MAX_LUS`` LUs and drops the least recently used one beyond that.
 
 "A" always means the effective coefficient A + U V^T of a system that carries
 a low-rank update: every multiply applies the update factored, and every
 solve with A or A + pE runs one Sherman-Morrison-Woodbury step on top of the
-cached LU of the sparse base matrix, so the updated matrix is never formed.
+cached LU of the sparse base matrix, so the updated matrix is never formed
+and never enters an LU.
 
 Fill-reducing ordering: every factorization uses SuperLU's symmetric mode
 with a minimum-degree ordering of A^T + A (``MMD_AT_PLUS_A``).  On the
@@ -25,7 +31,7 @@ itself, ``"T"`` for its transpose.
 
 from __future__ import annotations
 
-import threading
+from collections import OrderedDict
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -40,6 +46,10 @@ if TYPE_CHECKING:  # system.py imports this module
 
 _TRANS = ("N", "T")
 
+# LUs one pencil keeps: a default heuristic pool of 10 shifts plus A and E,
+# so a Newton iteration cycling that pool never refactorizes
+MAX_LUS = 12
+
 
 def _check_trans(tr):
     if tr not in _TRANS:
@@ -50,27 +60,74 @@ def _finite(arr) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+def _keep(cache, key, value):
+    """Store ``value`` as the most recent entry of the ordered ``cache``,
+    dropping the least recent one beyond ``MAX_LUS``."""
+    cache[key] = value
+    if len(cache) > MAX_LUS:
+        cache.popitem(last=False)
+    return value
+
+
+class LuCache(OrderedDict):
+    """Sparse LUs of one (A, E) pencil, least recently used first.
+
+    Keys are ``("A",)``, ``("E",)`` and ``("ApE", p, mixed)`` for A + pE
+    (``mixed=False``) or A + pE^T (``mixed=True``); real shifts are stored
+    as floats.  At most ``MAX_LUS`` LUs are kept.  Every LU is ordered by
+    ``MMD_AT_PLUS_A`` in symmetric mode, so one evicted and made again is
+    the same factorization.  There is no lock: threads sharing a cache may
+    make the same LU twice, never a wrong one.
+    """
+
+    def __init__(self, a, e=None):
+        super().__init__()
+        self.a = a
+        self.e = e
+
+    def factor(self, key):
+        """The LU for ``key``, made on a miss."""
+        lu = self.pop(key, None)
+        if lu is None:
+            try:
+                lu = splu(self._matrix(key).tocsc(),
+                          permc_spec="MMD_AT_PLUS_A",
+                          options=dict(SymmetricMode=True))
+            except RuntimeError as exc:
+                raise SingularOperatorError(
+                    f"factorization {key} failed: {exc}") from exc
+        return _keep(self, key, lu)
+
+    @cached_property
+    def _e(self):
+        # E, or the identity without E
+        return self.e if self.e is not None \
+            else sp.identity(self.a.shape[0], format="csr")
+
+    def _matrix(self, key):
+        if key[0] != "ApE":
+            return self.a if key[0] == "A" else self.e
+        _, p, mixed = key
+        m = self.a + p * (self._e.T if mixed else self._e)
+        return m.astype(complex) if isinstance(p, complex) else m
+
+
 class OperatorSet:
     """Bound operation family for one :class:`~lrmor.system.LtiSystem`.
 
     Every multiply and solve with A acts on A + U V^T when the system has the
     update (``mul_a``, ``mul_ape``, ``sol_a``, ``sol_ape``); only the sparse
-    base matrices are factorized.
-
-    The set is immutable apart from its factorization cache; cache insertion
-    is lock-protected so concurrent readers may share one instance.  Results
-    are identical with a cold or warm cache.
-
-    The cache keeps every LU the set has made, for the lifetime of the set:
-    one of A, one of E and one per distinct (shift, E transposed relative to
-    A) pair, all ordered by ``MMD_AT_PLUS_A`` in symmetric mode.  Callers
-    whose shifts never repeat should drop the set to free its LUs.
+    base matrices are factorized, into ``lus`` (the system's shared
+    ``lu_cache`` by default).  For each LU it solves with, the set keeps
+    the Woodbury data of its own update: M^{-1}U and the capacitance matrix,
+    for at most ``MAX_LUS`` (LU, transpose) pairs.  Results are identical
+    with a cold or warm cache.
     """
 
-    def __init__(self, system: LtiSystem):
+    def __init__(self, system: LtiSystem, lus: LuCache | None = None):
         self.system = system
-        self._lock = threading.Lock()
-        self._cache = {}
+        self._cache = system.lu_cache if lus is None else lus
+        self._woodbury_data = OrderedDict()
         self._check_system()
 
     # -- construction-time sanity checks ------------------------------------
@@ -135,49 +192,6 @@ class OperatorSet:
         output."""
         return self.mul_a(tr_a, x) + p * self.mul_e(tr_e, x)
 
-    # -- factorization cache --------------------------------------------------
-
-    def _factorize(self, key, builder):
-        with self._lock:
-            fac = self._cache.get(key)
-            if fac is None:
-                try:
-                    fac = splu(builder().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                               options=dict(SymmetricMode=True))
-                except RuntimeError as exc:
-                    raise SingularOperatorError(
-                        f"factorization {key} failed: {exc}") from exc
-                self._cache[key] = fac
-        return fac
-
-    @cached_property
-    def _e(self):
-        # E, or the identity without E; first read under the cache lock
-        sys_ = self.system
-        return sys_.e if sys_.have_e \
-            else sp.identity(sys_.order, format="csr")
-
-    def _lu_a(self):
-        return self._factorize(("A",), lambda: self.system.a)
-
-    def _lu_e(self):
-        return self._factorize(("E",), lambda: self.system.e)
-
-    def _lu_ape(self, p, mixed):
-        # (N, N)/(T, T) share one factorization of A + pE; the mixed patterns
-        # (N, T)/(T, N) share one of A + pE^T.  Transposed systems reuse the
-        # factorization via a transposed triangular solve.
-        p = complex(p)
-        if p.imag == 0.0:
-            p = p.real
-
-        def build():
-            e = self._e.T if mixed else self._e
-            m = self.system.a + p * e
-            return m.astype(complex) if isinstance(p, complex) else m
-
-        return self._factorize(("ApE", p, mixed), build)
-
     # -- solves ----------------------------------------------------------------
 
     @staticmethod
@@ -193,17 +207,30 @@ class OperatorSet:
             x = lu.solve(np.ascontiguousarray(rhs), trans=tr)
         return x[:, 0] if squeeze else x
 
-    def _woodbury(self, lu, tr, b):
+    def _woodbury(self, key, tr, b):
         # (M + u v^T)^{-1} b = y - M^{-1}u (I + v^T M^{-1}u)^{-1} v^T y for M
-        # the LU's matrix transposed per ``tr``, (u, v) = (U, V) for "N" and
-        # (V, U) for "T"; plain M^{-1} b without an update or with k = 0
-        y = self._lu_solve(lu, tr, b)
+        # the matrix of LU ``key`` transposed per ``tr``, (u, v) = (U, V) for
+        # "N" and (V, U) for "T"; plain M^{-1} b without an update or with
+        # k = 0.  The first solve with an LU solves [b, u] in one sweep and
+        # keeps M^{-1}u and the capacitance matrix for the later ones.
+        lu = self._cache.factor(key)
         sys_ = self.system
         if not sys_.have_uv or sys_.u.shape[1] == 0:
-            return y
+            return self._lu_solve(lu, tr, b)
         u, v = (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
-        mu = self._lu_solve(lu, tr, u)
-        cap = np.eye(u.shape[1]) + v.T @ mu
+        data = self._woodbury_data.pop((key, tr), None)
+        if data is None:
+            b = np.asarray(b)
+            x = self._lu_solve(lu, tr, np.column_stack([b, u]))
+            k = x.shape[1] - u.shape[1]
+            y = x[:, 0] if b.ndim == 1 else x[:, :k]
+            mu = x[:, k:]
+            if not np.iscomplexobj(lu.U.data):
+                mu = mu.real  # exact: a complex b only made the stack complex
+            data = (mu, np.eye(u.shape[1]) + v.T @ mu)
+        else:
+            y = self._lu_solve(lu, tr, b)
+        mu, cap = _keep(self._woodbury_data, (key, tr), data)
         try:
             t = np.linalg.solve(cap, v.T @ (y if y.ndim == 2 else y[:, None]))
         except np.linalg.LinAlgError as exc:
@@ -214,14 +241,14 @@ class OperatorSet:
     def sol_a(self, tr, b):
         """Solve (A + U V^T)^tr X = B via Woodbury on the cached LU of A."""
         _check_trans(tr)
-        return self._woodbury(self._lu_a(), tr, b)
+        return self._woodbury(("A",), tr, b)
 
     def sol_e(self, tr, b):
         """Solve E^tr X = B; identity shortcut without E."""
         _check_trans(tr)
         if not self.system.have_e:
             return np.asarray(b)
-        return self._lu_solve(self._lu_e(), tr, b)
+        return self._lu_solve(self._cache.factor(("E",)), tr, b)
 
     def sol_ape(self, tr_a, p, tr_e, b):
         """Solve ((A + U V^T)^trA + p E^trE) X = B via Woodbury on the cached
@@ -233,4 +260,10 @@ class OperatorSet:
         """
         _check_trans(tr_a)
         _check_trans(tr_e)
-        return self._woodbury(self._lu_ape(p, mixed=tr_a != tr_e), tr_a, b)
+        # (N, N)/(T, T) share one factorization of A + pE; the mixed patterns
+        # (N, T)/(T, N) share one of A + pE^T.  Transposed systems reuse the
+        # factorization via a transposed triangular solve.
+        p = complex(p)
+        if p.imag == 0.0:
+            p = p.real
+        return self._woodbury(("ApE", p, tr_a != tr_e), tr_a, b)

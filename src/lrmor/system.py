@@ -9,6 +9,8 @@ with sparse square ``E`` and ``A`` of order ``n``, thin dense ``B`` (n x m),
 ``C`` (p x n) and small ``D`` (p x m).  ``E = None`` means the identity; it is
 then never materialized.  An optional low-rank update ``U V^T`` describes the
 effective coefficient ``A + U V^T`` without ever forming it densely.
+Every system carries the LU cache of its (A, E) pencil; systems built from
+it on the same ``a`` and ``e`` share that cache.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .operators import OperatorSet
+from .operators import LuCache, OperatorSet
 
 
 def as_sparse(m, n=None):
@@ -57,6 +59,9 @@ class LtiSystem:
         Defaults to zeros.
     u, v : arrays, n x k, optional
         Low-rank update factors; both or neither must be given.
+    lu_cache : LuCache, optional
+        The sparse LUs of the pencil (A, E).  A cache made for other matrix
+        objects than ``a`` and ``e`` is replaced by an empty one.
     """
 
     a: sp.spmatrix
@@ -66,6 +71,7 @@ class LtiSystem:
     d: np.ndarray | None = None
     u: np.ndarray | None = None
     v: np.ndarray | None = None
+    lu_cache: LuCache | None = field(default=None, repr=False, compare=False)
     have_e: bool = field(init=False)
     have_uv: bool = field(init=False)
 
@@ -87,6 +93,9 @@ class LtiSystem:
             self.u = _as_dense(self.u)
             self.v = _as_dense(self.v)
         self.have_uv = self.u is not None
+        if self.lu_cache is None or self.lu_cache.a is not self.a \
+                or self.lu_cache.e is not self.e:
+            self.lu_cache = LuCache(self.a, self.e)
 
     @property
     def order(self) -> int:
@@ -101,14 +110,19 @@ class LtiSystem:
         return self.c.shape[0]
 
     def transfer(self, s) -> np.ndarray:
-        """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s."""
-        x = OperatorSet(self).sol_ape("N", -s, "N", self.b)
+        """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s.
+
+        The LU is private to the call: sweeps never repeat a point, and
+        holding their LUs in the shared cache would only raise memory."""
+        ops = OperatorSet(self, LuCache(self.a, self.e))
+        x = ops.sol_ape("N", -s, "N", self.b)
         return -(self.c @ x) + self.d
 
     def with_update(self, u, v) -> "LtiSystem":
-        """Copy of the system carrying the low-rank update ``u v^T``."""
+        """Copy of the system carrying the low-rank update ``u v^T``; it
+        shares this system's LU cache."""
         return LtiSystem(a=self.a, b=self.b, c=self.c, e=self.e, d=self.d,
-                         u=u, v=v)
+                         u=u, v=v, lu_cache=self.lu_cache)
 
     def transposed(self) -> "LtiSystem":
         """The dual realization (E^T, A^T, C^T, B^T, D^T); U, V swap roles."""

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import lrmor.operators
 from lrmor import LtiSystem, gen_fd_laplacian
 
 
@@ -35,6 +37,19 @@ def fd10():
 @pytest.fixture(scope="session")
 def fd7():
     return gen_fd_laplacian(7)
+
+
+@pytest.fixture
+def lu_count(monkeypatch):
+    """Number of sparse LUs the operator layer made since set-up."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(lrmor.operators, "splu", counting)
+    return lambda: len(calls)
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@ import pytest
 
 from lrmor import (AdiOptions, LtiSystem, NewtonOptions, RiccatiSpec,
                    SolverError, closed_loop_check, dense_are_solve,
-                   lqg_transform, lr_newton, riccati_residual)
+                   gen_fd_laplacian, lqg_transform, lr_newton,
+                   riccati_residual)
 
 from conftest import random_stable_system, scalar_system
 
@@ -90,6 +91,27 @@ class TestLrNewton:
         assert res.converged
         q_ref = dense_are_solve(tr.system.e, tr.system.dense_a_eff(),
                                 tr.system.b, tr.system.c)
+        err = np.linalg.norm(res.z.dense() - q_ref, 2)
+        assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+
+    def test_one_shift_pool_factorizes_once_per_shift(self, lu_count):
+        # bound: the heuristic pool (max(shift_batch, 10) = 10 shifts) plus
+        # A and E, however many Newton steps run; grid 14 (n = 196) is the
+        # largest FD model the dense oracle accepts
+        fd14 = gen_fd_laplacian(14)
+        res = lr_newton(RiccatiSpec(fd14, "T"))
+        assert res.converged
+        assert len(res.newton_residuals) - 1 >= 2
+        assert lu_count() <= 10 + 2
+        q_ref = dense_are_solve(None, fd14.a, fd14.b, fd14.c)
+        err = np.linalg.norm(res.z.dense() - q_ref, 2)
+        assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+
+    def test_projection_strategy_still_converges(self, fd7):
+        res = lr_newton(RiccatiSpec(fd7, "T"),
+                        NewtonOptions(inner=AdiOptions()))
+        assert res.converged
+        q_ref = dense_are_solve(None, fd7.a, fd7.b, fd7.c)
         err = np.linalg.norm(res.z.dense() - q_ref, 2)
         assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
 

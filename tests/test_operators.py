@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from lrmor import (LtiSystem, OperatorSet, SingularOperatorError,
-                   gen_fd_laplacian)
+from lrmor import (AdiOptions, LtiSystem, LyapunovSpec, NewtonOptions,
+                   OperatorSet, RiccatiSpec, SingularOperatorError,
+                   gen_fd_laplacian, lr_adi, lr_newton)
+from lrmor.operators import MAX_LUS
 
 from conftest import scalar_system, sparse_random
 
@@ -382,3 +384,135 @@ class TestOrdering:
         ops = OperatorSet(LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))))
         with pytest.raises(SingularOperatorError):
             ops.sol_ape("N", 2.0, "N", np.ones(3))
+
+
+class TestSharedLuCache:
+    """The LUs belong to the (A, E) pencil: every set over the system, and
+    over systems built from it on the same ``a``/``e``, shares them, and at
+    most ``MAX_LUS`` are kept."""
+
+    def test_sets_of_one_system_share_lus(self, rng, lu_count):
+        sys_ = _rand_sys(rng, n=10)
+        b = rng.standard_normal((10, 2))
+        OperatorSet(sys_).sol_ape("N", -0.3, "N", b)
+        OperatorSet(sys_).sol_ape("T", -0.3, "T", b)
+        assert lu_count() == 1
+
+    def test_eviction_bound_and_refactorization(self, rng, lu_count):
+        # bound: the cache never holds more than MAX_LUS LUs, and a solve at
+        # an evicted shift refactorizes to the same LU, within 1e-12 of the
+        # dense solve
+        sys_ = _rand_sys(rng, n=12)
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal((12, 2))
+        shifts = -0.1 - 0.25 * np.arange(MAX_LUS + 5)
+        first = ops.sol_ape("N", shifts[0], "N", b)
+        for p in shifts[1:]:
+            ops.sol_ape("N", p, "N", b)
+            assert len(sys_.lu_cache) <= MAX_LUS
+        assert len(sys_.lu_cache) == MAX_LUS
+        assert ("ApE", shifts[0], False) not in sys_.lu_cache
+        again = ops.sol_ape("N", shifts[0], "N", b)
+        assert lu_count() == len(shifts) + 1
+        mat = sys_.a.toarray() + shifts[0] * sys_.e.toarray()
+        ref = np.linalg.solve(mat, b)
+        assert np.linalg.norm(again - ref) <= 1e-12 * np.linalg.norm(ref)
+        np.testing.assert_array_equal(again, first)
+
+    def test_least_recently_used_goes_first(self, rng):
+        sys_ = _rand_sys(rng, n=8)
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal(8)
+        shifts = -0.5 - np.arange(MAX_LUS)
+        for p in shifts:
+            ops.sol_ape("N", p, "N", b)
+        ops.sol_ape("N", shifts[0], "N", b)  # now the most recent
+        ops.sol_ape("N", -100.0, "N", b)
+        assert ("ApE", shifts[0], False) in sys_.lu_cache
+        assert ("ApE", shifts[1], False) not in sys_.lu_cache
+
+    def test_with_update_reuses_factorized_shift(self, rng, lu_count):
+        # bound: no new LU for the updated system at a factorized shift
+        sys_ = _rand_sys(rng, n=10)
+        b = rng.standard_normal((10, 2))
+        p = -0.7 + 0.2j
+        OperatorSet(sys_).sol_ape("N", p, "N", b)
+        made = lu_count()
+        u = 0.2 * rng.standard_normal((10, 2))
+        v = 0.2 * rng.standard_normal((10, 2))
+        updated = sys_.with_update(u, v)
+        assert updated.lu_cache is sys_.lu_cache
+        x = OperatorSet(updated).sol_ape("N", p, "N", b)
+        assert lu_count() == made
+        formed = updated.dense_a_eff() + p * updated.dense_e()
+        assert np.linalg.norm(formed @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_transfer_leaves_shared_cache_unchanged(self, rng, lu_count):
+        # bound: a transfer sweep factorizes once per point and keeps none
+        sys_ = _rand_sys(rng, n=10)
+        OperatorSet(sys_).sol_ape("N", -0.3, "N", np.ones(10))
+        before = dict(sys_.lu_cache)
+        omegas = np.logspace(-2, 2, MAX_LUS + 3)
+        for om in omegas:
+            h = sys_.transfer(1j * om)
+            ref = sys_.c @ np.linalg.solve(
+                1j * om * sys_.dense_e() - sys_.a.toarray(), sys_.b)
+            np.testing.assert_allclose(h, ref, rtol=1e-10)
+        assert lu_count() == 1 + len(omegas)
+        assert dict(sys_.lu_cache) == before
+
+    def test_cache_for_other_matrices_is_replaced(self, rng):
+        sys_ = _rand_sys(rng, n=6)
+        other = LtiSystem(a=sys_.a * 2.0, b=sys_.b, c=sys_.c, e=sys_.e,
+                          lu_cache=sys_.lu_cache)
+        assert other.lu_cache is not sys_.lu_cache
+        assert other.lu_cache.a is other.a
+
+
+class TestWoodburyCache:
+    """Each set keeps M^{-1}U and the capacitance matrix per LU; results
+    are bit-identical to solving U anew at every call."""
+
+    @staticmethod
+    def _solvers(sys_):
+        out = []
+        for side in ("N", "T"):
+            for strategy in ("projection", "heuristic"):
+                res = lr_adi(LyapunovSpec(sys_, side),
+                             AdiOptions(shift_strategy=strategy))
+                out.append(res.z.z)
+        for inner in (AdiOptions(), AdiOptions(shift_strategy="heuristic")):
+            res = lr_newton(RiccatiSpec(sys_, "T"), NewtonOptions(inner=inner))
+            out.extend([res.z.z, res.k])
+        return out
+
+    def test_solver_outputs_match_uncached(self, rng, monkeypatch, lu_count):
+        u = 0.5 * rng.standard_normal((36, 2))
+        v = 0.5 * rng.standard_normal((36, 2))
+        cached = self._solvers(gen_fd_laplacian(6).with_update(u, v))
+        made = lu_count()
+        # MAX_LUS = 0 keeps nothing: every solve refactorizes and solves U
+        monkeypatch.setattr("lrmor.operators.MAX_LUS", 0)
+        uncached = self._solvers(gen_fd_laplacian(6).with_update(u, v))
+        assert lu_count() - made > made
+        for x, y in zip(cached, uncached):
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("p", [-0.8, -0.8 + 1.3j])
+    def test_first_and_repeat_solves_match_dense(self, rng, p):
+        # the set keeps M^{-1}U per LU and transpose, made by whichever
+        # right-hand side comes first; a real solve stays real after it
+        sys_ = _rand_sys(rng, n=9, k=2)
+        formed = sys_.dense_a_eff() + p * sys_.dense_e()
+        rhs = (rng.standard_normal((9, 2)), rng.standard_normal(9),
+               rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        for first in rhs:
+            ops = OperatorSet(sys_)
+            for b in (first,) + rhs:
+                for tr in ("N", "T"):
+                    x = ops.sol_ape(tr, p, tr, b)
+                    ref = np.linalg.solve(formed if tr == "N" else formed.T,
+                                          b)
+                    assert np.linalg.norm(x - ref) \
+                        <= 1e-12 * np.linalg.norm(ref)
+                    assert np.iscomplexobj(x) == np.iscomplexobj(ref)
