@@ -98,57 +98,60 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
         return NewtonResult(LowRankFactor.empty(n), np.zeros((b.shape[1], n)),
                             [0.0], True)
 
-    inner_opts = dataclasses.replace(opts.inner,
-                                     shifts=shift_pool(ops, opts.inner))
+    pool = shift_pool(ops, opts.inner)
+    inner_opts = dataclasses.replace(opts.inner, shifts=pool)
     z = LowRankFactor.empty(n)
     k = np.zeros((b.shape[1], n))
     prev_res = riccati_residual(spec, z).relative
     residuals = [prev_res]
     converged = False
-    for _ in range(opts.max_newton_steps):
-        # inexact forcing: the inner Lyapunov residual must undercut the
-        # current Riccati residual, measured against the step equation's own
-        # constant term ||[C; K]||^2
-        forcing = min(0.1, 0.9 * prev_res)
-        g_norm = spectral_norm(np.vstack([c, k])) ** 2
-        inner_tol = max(forcing * prev_res * ref / g_norm,
-                        inner_opts.rel_tolerance)
-        u_step = -b
-        v_step = k.T
-        if system.have_uv:
-            u_step = np.hstack([system.u, u_step])
-            v_step = np.hstack([system.v, v_step])
-        step_sys = LtiSystem(a=system.a, b=b, c=np.vstack([c, k]),
-                             e=system.e, d=np.zeros((c.shape[0] + k.shape[0],
-                                                     b.shape[1])),
-                             u=u_step, v=v_step, lu_cache=system.lu_cache)
-        inner = lr_adi(LyapunovSpec(step_sys, side="T"),
-                       dataclasses.replace(inner_opts,
-                                           rel_tolerance=inner_tol))
-        if not inner.converged:
-            raise SolverError(
-                "inner ADI did not converge within its iteration budget")
-        cand = inner.z
-        cand_res = riccati_residual(spec, cand).relative
-        if opts.line_search and cand_res > prev_res * (1.0 + 1e-12):
-            accepted, accepted_res = cand, cand_res
-            lam = 1.0
-            for _ in range(_MAX_HALVINGS):
-                lam *= 0.5
-                blend = LowRankFactor(np.hstack([
-                    np.sqrt(1.0 - lam) * z.z, np.sqrt(lam) * cand.z]))
-                blend_res = riccati_residual(spec, blend).relative
-                if blend_res < accepted_res:
-                    accepted, accepted_res = blend, blend_res
-                if blend_res < prev_res:
-                    break
-            cand, cand_res = accepted, accepted_res
-        z, prev_res = cand, cand_res
-        k = _feedback(ops, b, z.z)
-        residuals.append(prev_res)
-        if prev_res <= opts.rel_tolerance:
-            converged = True
-            break
+    # the pencil keeps every pool shift (and A, E) for the whole iteration
+    with system.lu_cache.holding(0 if pool is None else len(pool) + 2):
+        for _ in range(opts.max_newton_steps):
+            # inexact forcing: the inner Lyapunov residual must undercut the
+            # current Riccati residual, measured against the step equation's
+            # own constant term ||[C; K]||^2
+            forcing = min(0.1, 0.9 * prev_res)
+            g_norm = spectral_norm(np.vstack([c, k])) ** 2
+            inner_tol = max(forcing * prev_res * ref / g_norm,
+                            inner_opts.rel_tolerance)
+            u_step = -b
+            v_step = k.T
+            if system.have_uv:
+                u_step = np.hstack([system.u, u_step])
+                v_step = np.hstack([system.v, v_step])
+            step_sys = LtiSystem(a=system.a, b=b, c=np.vstack([c, k]),
+                                 e=system.e,
+                                 d=np.zeros((c.shape[0] + k.shape[0],
+                                             b.shape[1])),
+                                 u=u_step, v=v_step, lu_cache=system.lu_cache)
+            inner = lr_adi(LyapunovSpec(step_sys, side="T"),
+                           dataclasses.replace(inner_opts,
+                                               rel_tolerance=inner_tol))
+            if not inner.converged:
+                raise SolverError(
+                    "inner ADI did not converge within its iteration budget")
+            cand = inner.z
+            cand_res = riccati_residual(spec, cand).relative
+            if opts.line_search and cand_res > prev_res * (1.0 + 1e-12):
+                accepted, accepted_res = cand, cand_res
+                lam = 1.0
+                for _ in range(_MAX_HALVINGS):
+                    lam *= 0.5
+                    blend = LowRankFactor(np.hstack([
+                        np.sqrt(1.0 - lam) * z.z, np.sqrt(lam) * cand.z]))
+                    blend_res = riccati_residual(spec, blend).relative
+                    if blend_res < accepted_res:
+                        accepted, accepted_res = blend, blend_res
+                    if blend_res < prev_res:
+                        break
+                cand, cand_res = accepted, accepted_res
+            z, prev_res = cand, cand_res
+            k = _feedback(ops, b, z.z)
+            residuals.append(prev_res)
+            if prev_res <= opts.rel_tolerance:
+                converged = True
+                break
     return NewtonResult(z, k, residuals, converged)
 
 

@@ -166,16 +166,21 @@ def _default_irka_data(system: LtiSystem, r: int):
     return sigma, b0, c0
 
 
+def _pair_order(values):
+    """Indices sorting ``values`` by real part, each conjugate pair adjacent
+    with its negative-imaginary member first.  Both members sort on the
+    upper one's real part: their own real parts differ in the last bits,
+    and sorting on them could swap a pair between equivalent runs."""
+    key = values.real.copy()
+    for i in np.flatnonzero(values.imag > 0):
+        key[np.nanargmin(np.abs(values - np.conj(values[i])))] = key[i]
+    return np.lexsort((values.imag, key))
+
+
 def _sorted_spectral_data(lam, vl, vr):
-    """Sort the ROM poles by real part, each conjugate pair adjacent with its
-    negative-imaginary member first, so the shifts -lam list each pair
-    positive-imaginary first.  Both members sort on the upper one's real
-    part: their own real parts differ in the last bits, and sorting on them
-    could swap a pair between equivalent runs."""
-    key = lam.real.copy()
-    for i in np.flatnonzero(lam.imag > 0):
-        key[np.nanargmin(np.abs(lam - np.conj(lam[i])))] = key[i]
-    order = np.lexsort((lam.imag, key))
+    """Sort the ROM poles by :func:`_pair_order`, so the shifts -lam list
+    each pair positive-imaginary first."""
+    order = _pair_order(lam)
     return lam[order], vl[:, order], vr[:, order]
 
 
@@ -278,8 +283,9 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
         norms_c = np.linalg.norm(new_c, axis=1)
         new_b[norms_b > 0] /= norms_b[norms_b > 0, None]
         new_c[norms_c > 0] /= norms_c[norms_c > 0, None]
-        old_sorted = np.sort_complex(sigma)
-        new_sorted = np.sort_complex(new_sigma)
+        # pair-aware order: a pair never meets its own conjugate
+        old_sorted = sigma[_pair_order(sigma)]
+        new_sorted = new_sigma[_pair_order(new_sigma)]
         change = float(np.max(np.abs(new_sorted - old_sorted)
                               / np.maximum(np.abs(old_sorted), 1e-300)))
         history.append(change)

@@ -9,7 +9,8 @@ The LUs belong to the (A, E) pencil, not to the set: every
 :class:`~lrmor.system.LtiSystem` carries a :class:`LuCache`, which
 ``with_update`` and Newton's step systems pass on, so every set over the same
 sparse ``a``/``e`` shares one factorization per shift.  The cache keeps at
-most ``MAX_LUS`` LUs and drops the least recently used one beyond that.
+most ``MAX_LUS`` LUs and drops the least recently used one beyond that;
+Newton raises the bound to hold its whole shift pool.
 
 "A" always means the effective coefficient A + U V^T of a system that carries
 a low-rank update: every multiply applies the update factored, and every
@@ -17,13 +18,23 @@ solve with A or A + pE runs one Sherman-Morrison-Woodbury step on top of the
 cached LU of the sparse base matrix, so the updated matrix is never formed
 and never enters an LU.
 
-Fill-reducing ordering: every factorization uses SuperLU's symmetric mode
-with a minimum-degree ordering of A^T + A (``MMD_AT_PLUS_A``).  On the
-structurally symmetric pencils of the FD and thermal-block models this yields
-far less fill than the default COLAMD column ordering.  SuperLU keeps its
-default threshold partial pivoting (symmetric mode takes the diagonal pivot
-only when it is as large as the largest entry of its column), so the ordering
-is a hint and solves stay correct on non-symmetric patterns too.
+Fill-reducing ordering: the pattern work is done once per pencil.  The
+pencil's first LU of A or A + pE runs SuperLU's symmetric mode with a
+minimum-degree ordering of A^T + A (``MMD_AT_PLUS_A``), which on the
+structurally symmetric pencils of the FD and thermal-block models yields far
+less fill than the default COLAMD column ordering.  Its column permutation
+becomes the pencil's ordering q: every later LU factorizes the matrix
+permuted to ``[q][:, q]`` with the ``NATURAL`` ordering, at the same fill.
+Each matrix is written from the values of A and E aligned on their union
+pattern (E^T for A + pE^T, the identity without E), stored once, so no shift
+pays for a sparse add.  SuperLU keeps its default threshold partial
+pivoting (symmetric mode takes the diagonal pivot only when it is as large as
+the largest entry of its column), so the ordering is a hint and solves stay
+correct on non-symmetric patterns too.  Every LU is column-wise
+(``RELAX = PANEL_SIZE = 1``): SuperLU's default supernode relaxation and
+panel size are tuned for large 3-D problems, and on these 2-D pencils
+column-wise LUs of the same fill took 0.7-0.8x the time (n = 576 to 10^4,
+real and complex).
 
 Transpose arguments follow the BLAS convention: ``"N"`` for the matrix
 itself, ``"T"`` for its transpose.
@@ -32,7 +43,7 @@ itself, ``"T"`` for its transpose.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import cached_property
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +61,11 @@ _TRANS = ("N", "T")
 # so a Newton iteration cycling that pool never refactorizes
 MAX_LUS = 12
 
+# SuperLU supernode relaxation and panel size: column-wise LUs (see the
+# module docstring)
+RELAX = 1
+PANEL_SIZE = 1
+
 
 def _check_trans(tr):
     if tr not in _TRANS:
@@ -60,56 +76,112 @@ def _finite(arr) -> bool:
     return bool(np.isfinite(arr).all())
 
 
-def _keep(cache, key, value):
+def _keep(cache, key, value, bound):
     """Store ``value`` as the most recent entry of the ordered ``cache``,
-    dropping the least recent one beyond ``MAX_LUS``."""
+    dropping the least recent ones beyond ``bound``."""
     cache[key] = value
-    if len(cache) > MAX_LUS:
+    while len(cache) > bound:
         cache.popitem(last=False)
     return value
 
 
+def _splu(m, permc_spec):
+    return splu(m, permc_spec=permc_spec, relax=RELAX, panel_size=PANEL_SIZE,
+                options=dict(SymmetricMode=True))
+
+
 class LuCache(OrderedDict):
-    """Sparse LUs of one (A, E) pencil, least recently used first.
+    """Sparse LUs of one (A, E) pencil, least recently used first, and the
+    pencil's ordering and patterns.
 
     Keys are ``("A",)``, ``("E",)`` and ``("ApE", p, mixed)`` for A + pE
     (``mixed=False``) or A + pE^T (``mixed=True``); real shifts are stored
-    as floats.  At most ``MAX_LUS`` LUs are kept.  Every LU is ordered by
-    ``MMD_AT_PLUS_A`` in symmetric mode, so one evicted and made again is
-    the same factorization.  There is no lock: threads sharing a cache may
-    make the same LU twice, never a wrong one.
+    as floats.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
+    :meth:`holding` raises it).  A counts as the shift 0.  The first LU of A
+    or A + pE, the origin, orders the pencil (see the module docstring) and
+    is always remade the MMD way, so an LU evicted and made again is the
+    same factorization; E's own LU keeps its own MMD ordering.
+    :meth:`private` caches share the ordering and patterns, not the LUs.
+    There is no lock: threads sharing a cache may make the same LU twice,
+    never a wrong one.
     """
 
     def __init__(self, a, e=None):
         super().__init__()
         self.a = a
         self.e = e
+        self.bound = MAX_LUS
+        # "order": (origin key, q), set once; ("pattern", mixed,
+        # permuted): (indices, indptr, A values, E values)
+        self._symbolic = {}
+
+    def private(self) -> "LuCache":
+        """An empty cache of the same pencil sharing its symbolic data."""
+        out = LuCache(self.a, self.e)
+        out._symbolic = self._symbolic
+        return out
+
+    @contextmanager
+    def holding(self, count):
+        """Keep at least ``count`` LUs while the block runs."""
+        bound = self.bound
+        self.bound = max(bound, count)
+        try:
+            yield
+        finally:
+            self.bound = bound
+            while len(self) > bound:
+                self.popitem(last=False)
 
     def factor(self, key):
-        """The LU for ``key``, made on a miss."""
+        """``(lu, q)`` for ``key``, the LU made on a miss; ``q`` is the
+        pencil's ordering when the LU factors the matrix permuted to
+        ``[q][:, q]``, else ``None``."""
         lu = self.pop(key, None)
         if lu is None:
             try:
-                lu = splu(self._matrix(key).tocsc(),
-                          permc_spec="MMD_AT_PLUS_A",
-                          options=dict(SymmetricMode=True))
+                lu = self._factorize(key)
             except RuntimeError as exc:
                 raise SingularOperatorError(
                     f"factorization {key} failed: {exc}") from exc
-        return _keep(self, key, lu)
+        _keep(self, key, lu, self.bound)
+        order = self._symbolic.get("order")
+        if key[0] == "E" or order[0] == key:
+            return lu, None
+        return lu, order[1]
 
-    @cached_property
-    def _e(self):
-        # E, or the identity without E
-        return self.e if self.e is not None \
-            else sp.identity(self.a.shape[0], format="csr")
+    def _factorize(self, key):
+        if key[0] == "E":
+            return _splu(self.e.tocsc(), "MMD_AT_PLUS_A")
+        p, mixed = (0.0, False) if key[0] == "A" else key[1:]
+        order = self._symbolic.get("order")
+        if order is None or order[0] == key:
+            lu = _splu(self._matrix(p, mixed, None), "MMD_AT_PLUS_A")
+            order = self._symbolic.setdefault(
+                "order", (key, np.argsort(lu.perm_c)))
+            if order[0] == key:
+                return lu
+            # another thread made the ordering from its own key first
+        return _splu(self._matrix(p, mixed, order[1]), "NATURAL")
 
-    def _matrix(self, key):
-        if key[0] != "ApE":
-            return self.a if key[0] == "A" else self.e
-        _, p, mixed = key
-        m = self.a + p * (self._e.T if mixed else self._e)
-        return m.astype(complex) if isinstance(p, complex) else m
+    def _matrix(self, p, mixed, q):
+        # A + pE (A + pE^T when mixed) on the union pattern, permuted to
+        # [q][:, q] unless q is None
+        key = ("pattern", mixed, q is not None)
+        pattern = self._symbolic.get(key)
+        if pattern is None:
+            e = self.e if self.e is not None \
+                else sp.identity(self.a.shape[0], format="csr")
+            # A's and E's values as real and imaginary parts: no cancellation
+            m = (self.a + 1j * (e.T if mixed else e)).tocsc()
+            if q is not None:
+                m = m[q][:, q]
+            m.sort_indices()
+            pattern = self._symbolic.setdefault(key, (
+                m.indices, m.indptr, m.data.real.copy(), m.data.imag.copy()))
+        indices, indptr, a_vals, e_vals = pattern
+        return sp.csc_matrix((a_vals + p * e_vals, indices, indptr),
+                             shape=self.a.shape)
 
 
 class OperatorSet:
@@ -195,16 +267,26 @@ class OperatorSet:
     # -- solves ----------------------------------------------------------------
 
     @staticmethod
-    def _lu_solve(lu, tr, b):
+    def _lu_solve(factor, tr, b):
+        # factor is (lu, q) from LuCache.factor: with an order q the LU is of
+        # M[q][:, q], so M^tr x = b is solved for x[q] from b[q]
+        lu, q = factor
         b = np.asarray(b)
         squeeze = b.ndim == 1
         rhs = b.reshape(-1, 1) if squeeze else b
+        if q is not None:
+            rhs = rhs[q]
         if np.iscomplexobj(rhs) and not np.iscomplexobj(lu.U.data):
             k = rhs.shape[1]
             y = lu.solve(np.hstack([rhs.real, rhs.imag]), trans=tr)
             x = y[:, :k] + 1j * y[:, k:]
         else:
             x = lu.solve(np.ascontiguousarray(rhs), trans=tr)
+        if q is not None:
+            # scattered into a copy of x's (Fortran) layout, so slices of
+            # the result multiply as those of an unpermuted solve do
+            x, y = np.empty_like(x), x
+            x[q] = y
         return x[:, 0] if squeeze else x
 
     def _woodbury(self, key, tr, b):
@@ -213,24 +295,25 @@ class OperatorSet:
         # "N" and (V, U) for "T"; plain M^{-1} b without an update or with
         # k = 0.  The first solve with an LU solves [b, u] in one sweep and
         # keeps M^{-1}u and the capacitance matrix for the later ones.
-        lu = self._cache.factor(key)
+        factor = self._cache.factor(key)
         sys_ = self.system
         if not sys_.have_uv or sys_.u.shape[1] == 0:
-            return self._lu_solve(lu, tr, b)
+            return self._lu_solve(factor, tr, b)
         u, v = (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
         data = self._woodbury_data.pop((key, tr), None)
         if data is None:
             b = np.asarray(b)
-            x = self._lu_solve(lu, tr, np.column_stack([b, u]))
+            x = self._lu_solve(factor, tr, np.column_stack([b, u]))
             k = x.shape[1] - u.shape[1]
             y = x[:, 0] if b.ndim == 1 else x[:, :k]
             mu = x[:, k:]
-            if not np.iscomplexobj(lu.U.data):
+            if not np.iscomplexobj(factor[0].U.data):
                 mu = mu.real  # exact: a complex b only made the stack complex
             data = (mu, np.eye(u.shape[1]) + v.T @ mu)
         else:
-            y = self._lu_solve(lu, tr, b)
-        mu, cap = _keep(self._woodbury_data, (key, tr), data)
+            y = self._lu_solve(factor, tr, b)
+        mu, cap = _keep(self._woodbury_data, (key, tr), data,
+                        self._cache.bound)
         try:
             t = np.linalg.solve(cap, v.T @ (y if y.ndim == 2 else y[:, None]))
         except np.linalg.LinAlgError as exc:

@@ -113,8 +113,10 @@ class LtiSystem:
         """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s.
 
         The LU is private to the call: sweeps never repeat a point, and
-        holding their LUs in the shared cache would only raise memory."""
-        ops = OperatorSet(self, LuCache(self.a, self.e))
+        holding their LUs in the shared cache would only raise memory.  The
+        pencil's ordering and pattern are shared, so a sweep orders the
+        pencil once."""
+        ops = OperatorSet(self, self.lu_cache.private())
         x = ops.sol_ape("N", -s, "N", self.b)
         return -(self.c @ x) + self.d
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,16 @@ from scipy.sparse.linalg import splu
 
 import lrmor.operators
 from lrmor import LtiSystem, gen_fd_laplacian
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
+    # failure reproduces locally with the same variable
+    settings.register_profile("ci", derandomize=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_stable_system(rng, n, m=1, p=1, with_e=False, symmetric=False):
@@ -22,6 +34,17 @@ def random_stable_system(rng, n, m=1, p=1, with_e=False, symmetric=False):
         e = f @ f.T + np.eye(n)
     return LtiSystem(a=a, b=rng.standard_normal((n, m)),
                      c=rng.standard_normal((p, n)), e=e)
+
+
+def pair_sorted(values):
+    """``values`` sorted by real part with each conjugate pair adjacent;
+    both members of a pair sort on the positive-imaginary one's real part,
+    so a pair never meets its own conjugate in a sorted comparison."""
+    values = np.asarray(values, dtype=complex)
+    key = values.real.copy()
+    for i in np.flatnonzero(values.imag > 0):
+        key[np.argmin(np.abs(values - np.conj(values[i])))] = key[i]
+    return values[np.lexsort((values.imag, key))]
 
 
 def scalar_system(a=-1.0, e=1.0, b=1.0, c=1.0, d=0.0):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from lrmor import (AdiOptions, LtiSystem, NewtonOptions, RiccatiSpec,
-                   SolverError, closed_loop_check, dense_are_solve,
-                   gen_fd_laplacian, lqg_transform, lr_newton,
-                   riccati_residual)
+from lrmor import (AdiOptions, LtiSystem, NewtonOptions, OperatorSet,
+                   RiccatiSpec, SolverError, closed_loop_check,
+                   dense_are_solve, gen_fd_laplacian, lqg_transform, lr_adi,
+                   lr_newton, riccati_residual)
+from lrmor.lradi import shift_pool
+from lrmor.operators import MAX_LUS
 
 from conftest import random_stable_system, scalar_system
 
@@ -106,6 +108,30 @@ class TestLrNewton:
         q_ref = dense_are_solve(None, fd14.a, fd14.b, fd14.c)
         err = np.linalg.norm(res.z.dense() - q_ref, 2)
         assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+
+    def test_pool_larger_than_lu_bound_stays_cached(self, lu_count,
+                                                    monkeypatch):
+        # bound: a pool of 14 shifts (more than MAX_LUS holds with A and E)
+        # still factorizes once per shift, and clearing the cache before
+        # every step changes no bit of the result
+        opts = NewtonOptions(inner=AdiOptions(shift_strategy="heuristic",
+                                              shift_batch=14))
+        fd30 = gen_fd_laplacian(30)
+        pool = shift_pool(OperatorSet(fd30), opts.inner)
+        made = lu_count()
+        res = lr_newton(RiccatiSpec(fd30, "T"), opts)
+        assert res.converged
+        assert len(pool) >= 14
+        assert lu_count() <= made + len(pool) + 2
+        assert len(fd30.lu_cache) <= MAX_LUS
+
+        def clearing(spec, inner):
+            spec.system.lu_cache.clear()
+            return lr_adi(spec, inner)
+
+        monkeypatch.setattr("lrmor.lrnm.lr_adi", clearing)
+        cleared = lr_newton(RiccatiSpec(gen_fd_laplacian(30), "T"), opts)
+        np.testing.assert_array_equal(res.z.z, cleared.z.z)
 
     def test_projection_strategy_still_converges(self, fd7):
         res = lr_newton(RiccatiSpec(fd7, "T"),

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -326,9 +328,69 @@ class TestSizeAndCache:
         for out in results:
             np.testing.assert_allclose(out, ref, atol=1e-14)
 
+    def test_concurrent_first_factorizations_solve_exactly(self, rng):
+        # threads making a fresh pencil's first LUs race to set its
+        # ordering; every LU must solve with the permutation it was made on
+        from concurrent.futures import ThreadPoolExecutor
+        sys_ = _rand_sys(rng, n=30)
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal((30, 2))
+        shifts = -0.2 - 0.3 * np.arange(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ops.sol_ape, "N", p, "N", b)
+                           for p in shifts]
+                first = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        again = [ops.sol_ape("N", p, "N", b) for p in shifts]  # cache hits
+        for p, x, y in zip(shifts, first, again):
+            mat = sys_.a.toarray() + p * sys_.e.toarray()
+            for sol in (x, y):
+                assert np.linalg.norm(mat @ sol - b) \
+                    <= 1e-10 * np.linalg.norm(b)
+
+    def test_ordering_set_during_first_lu(self, rng, monkeypatch):
+        # deterministic form of the race: another LU sets the ordering while
+        # the first MMD LU runs, which must then be remade on that ordering
+        sys_ = _rand_sys(rng, n=12)
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal((12, 2))
+        specs = []
+
+        def racing(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            if len(specs) == 1:
+                ops.sol_ape("N", -0.9, "N", b)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr("lrmor.operators.splu", racing)
+        ops.sol_ape("N", -0.4, "N", b)
+        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
+        for p in (-0.4, -0.9):
+            x = ops.sol_ape("N", p, "N", b)
+            mat = sys_.a.toarray() + p * sys_.e.toarray()
+            assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.fixture
+def permc_specs(monkeypatch):
+    """The ``permc_spec`` of every sparse LU the operator layer makes."""
+    specs = []
+
+    def recording(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("lrmor.operators.splu", recording)
+    return specs
+
 
 class TestOrdering:
-    """The symmetric-mode MMD ordering on A^T + A solves exactly on
+    """The pencil's first LU is ordered by symmetric-mode MMD on A^T + A;
+    every later one reuses that ordering.  Both solve exactly on
     structurally symmetric and non-symmetric patterns alike."""
 
     @staticmethod
@@ -350,7 +412,10 @@ class TestOrdering:
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("with_e", [True, False])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_solves_match_dense(self, rng, symmetric, with_e, k):
+    def test_solves_match_dense(self, rng, symmetric, with_e, k,
+                                permc_specs):
+        # the first LU (at -2.5) orders the pencil; the LUs of A and of A +
+        # pE for both shifts and both E patterns reuse its ordering
         sys_ = self._system(rng, symmetric, with_e, k)
         ops = OperatorSet(sys_)
         pattern = (sys_.a != 0).astype(int)
@@ -359,15 +424,28 @@ class TestOrdering:
         e = sys_.dense_e()
         a_eff = sys_.dense_a_eff()  # A itself for k = 0
         b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        for p in (-0.8, -0.8 + 1.3j):
+        ops.sol_ape("N", -2.5, "N", b)
+        for p in (-0.8, -0.8 + 1.3j, 0.0):
             for tr_a in ("N", "T"):
                 for tr_e in ("N", "T"):
                     e_tr = e if tr_e == "N" else e.T
                     mat = (a_eff if tr_a == "N" else a_eff.T) + p * e_tr
                     ref = np.linalg.solve(mat, b)
-                    x = ops.sol_ape(tr_a, p, tr_e, b)
+                    x = ops.sol_ape(tr_a, p, tr_e, b) if p \
+                        else ops.sol_a(tr_a, b)
                     assert np.linalg.norm(x - ref) \
                         <= 1e-12 * np.linalg.norm(ref)
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 5
+
+    def test_reused_ordering_keeps_fill(self):
+        sys_ = gen_fd_laplacian(30)
+        ops = OperatorSet(sys_)
+        shifts = (-10.0, -3.0, -3.0 + 2.0j)
+        for p in shifts:
+            ops.sol_ape("N", p, "N", np.ones(sys_.order))
+        fill = [lu.L.nnz + lu.U.nnz for lu in (
+            sys_.lu_cache[("ApE", p, False)] for p in shifts)]
+        assert fill == [fill[0]] * 3
 
     def test_symmetric_ordering_reduces_fill(self):
         sys_ = gen_fd_laplacian(30)
@@ -460,6 +538,18 @@ class TestSharedLuCache:
             np.testing.assert_allclose(h, ref, rtol=1e-10)
         assert lu_count() == 1 + len(omegas)
         assert dict(sys_.lu_cache) == before
+
+    def test_transfer_sweep_orders_pencil_once(self, rng, permc_specs):
+        # bound: one MMD ordering for the whole sweep, and no LU kept
+        sys_ = _rand_sys(rng, n=10)
+        omegas = np.logspace(-2, 2, 15)
+        for om in omegas:
+            h = sys_.transfer(1j * om)
+        ref = sys_.c @ np.linalg.solve(
+            1j * omegas[-1] * sys_.dense_e() - sys_.a.toarray(), sys_.b)
+        np.testing.assert_allclose(h, ref, rtol=1e-10)
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
+        assert len(sys_.lu_cache) == 0
 
     def test_cache_for_other_matrices_is_replaced(self, rng):
         sys_ = _rand_sys(rng, n=6)

@@ -7,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lrmor import (LtiSystem, RiccatiSpec, dense_are_solve,  # noqa: E402
+from lrmor import (AdiOptions, LtiSystem, LyapunovSpec,  # noqa: E402
+                   RiccatiSpec, dense_are_solve, dense_lyap_solve, lr_adi,
                    lr_newton)
 
 
@@ -44,3 +45,44 @@ def test_newton_with_shift_pool_matches_dense_oracle(seed, n, m, p, with_e,
     q_ref = dense_are_solve(sys_.e, sys_.dense_a_eff(), sys_.b, sys_.c)
     err = np.linalg.norm(res.z.dense() - q_ref, 2)
     assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+
+
+def _sparse_stable_system(seed, n, m, with_e, k):
+    """Like :func:`_stable_system`, but A is sparse on a random, structurally
+    non-symmetric pattern (the update is not formed into it) and E, if any,
+    is sparse, symmetric and diagonally dominant."""
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3) / np.sqrt(n)
+    e = u = v = None
+    a_eff = s
+    if k:
+        u = 0.5 * rng.standard_normal((n, k))
+        v = 0.5 * rng.standard_normal((n, k))
+        a_eff = s + u @ v.T
+    shift = np.linalg.eigvalsh(0.5 * (a_eff + a_eff.T)).max() + 0.5
+    if with_e:
+        t = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        t = 0.5 * (t + t.T)
+        e = t + np.diag(np.abs(t).sum(axis=1) + 1.0)
+    return LtiSystem(a=s - shift * np.eye(n), b=rng.standard_normal((n, m)),
+                     c=rng.standard_normal((m, n)), e=e, u=u, v=v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 3), with_e=st.booleans(), k=st.sampled_from([0, 2]),
+       side=st.sampled_from(["N", "T"]),
+       strategy=st.sampled_from(["projection", "heuristic"]))
+def test_lr_adi_matches_dense_oracle(seed, n, m, with_e, k, side, strategy):
+    # the pencil's reused ordering runs on random non-symmetric patterns
+    sys_ = _sparse_stable_system(seed, n, m, with_e, k)
+    res = lr_adi(LyapunovSpec(sys_, side),
+                 AdiOptions(shift_strategy=strategy))
+    assert res.converged
+    a, e = sys_.dense_a_eff(), sys_.dense_e()
+    if side == "N":
+        p_ref = dense_lyap_solve(e, a, sys_.b)
+    else:
+        p_ref = dense_lyap_solve(e.T, a.T, sys_.c.T)
+    err = np.linalg.norm(res.z.dense() - p_ref, 2)
+    assert err <= 1e-6 * np.linalg.norm(p_ref, 2)
