@@ -58,7 +58,6 @@ class LowRankFactor:
 class ResidualReport:
     absolute: float
     relative: float
-    norm_kind: str = "spectral"
 
 
 @dataclass

@@ -31,6 +31,13 @@ from .operators import OperatorSet
 _REAL_TOL = 1e-13
 
 
+def _width(p) -> int:
+    """ADI steps the shift ``p`` takes: 1 for a (numerically) real shift, 2
+    for a complex one, which with its conjugate forms one real double
+    step."""
+    return 1 if abs(p.imag) <= _REAL_TOL * abs(p) else 2
+
+
 @dataclass
 class ShiftSet:
     """Ordered shifts, strictly stable and conjugate-closed with the members
@@ -46,13 +53,11 @@ class ShiftSet:
         i = 0
         vals = self.values
         while i < len(vals):
-            if abs(vals[i].imag) <= _REAL_TOL * abs(vals[i]):
-                i += 1
-                continue
-            if i + 1 >= len(vals) or vals[i + 1] != np.conj(vals[i]):
+            if _width(vals[i]) == 2 and (
+                    i + 1 >= len(vals) or vals[i + 1] != np.conj(vals[i])):
                 raise ValueError("complex shifts must appear as adjacent "
                                  "conjugate pairs")
-            i += 2
+            i += _width(vals[i])
 
     def __len__(self):
         return len(self.values)
@@ -91,7 +96,7 @@ def _conjugate_close(values):
     """Stable ordering with exact conjugate pairs adjacent; lone complex
     values (numerical strays) are dropped."""
     values = np.asarray(values, dtype=complex)
-    real_mask = np.abs(values.imag) <= _REAL_TOL * np.abs(values)
+    real_mask = np.array([_width(v) == 1 for v in values], dtype=bool)
     out = sorted(values[real_mask].real)
     out = [complex(v) for v in out]
     upper = sorted(values[~real_mask & (values.imag > 0)],
@@ -110,14 +115,13 @@ def _conjugate_close(values):
     return np.array(out + paired, dtype=complex)
 
 
-def projection_shifts(ops: OperatorSet, basis: np.ndarray,
-                      fallback: bool = True) -> ShiftSet:
+def projection_shifts(ops: OperatorSet, basis: np.ndarray) -> ShiftSet:
     """Shifts from the Ritz values of (A, E) projected onto ``basis``.
 
     The basis is orthonormalized first; Ritz values with negative real part
-    are returned conjugate-closed.  If none qualify, the heuristic strategy
-    takes over (and failing that, unstable Ritz values are reflected across
-    the imaginary axis to keep the iteration running).
+    are returned conjugate-closed.  If none qualify, the heuristic set takes
+    over (and failing that, unstable Ritz values are reflected across the
+    imaginary axis to keep the iteration running).
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] == 0:
@@ -131,11 +135,10 @@ def projection_shifts(ops: OperatorSet, basis: np.ndarray,
     ritz = ritz[np.isfinite(ritz)]
     stable = ritz[ritz.real < 0]
     if len(stable) == 0:
-        if fallback:
-            try:
-                return heuristic_shifts(ops)
-            except (SolverError, SingularOperatorError):
-                pass
+        try:
+            return heuristic_shifts(ops)
+        except (SolverError, SingularOperatorError):
+            pass
         reflected = -np.abs(ritz.real) + 1j * ritz.imag
         stable = reflected[reflected.real < 0]
         if len(stable) == 0:
@@ -163,17 +166,16 @@ def _arnoldi_ritz(matvec, n, steps):
     return la.eigvals(h[:m, :m])
 
 
-def heuristic_shifts(ops: OperatorSet, num: int = 10,
-                     arnoldi_steps: int = 10) -> ShiftSet:
+def heuristic_shifts(ops: OperatorSet, num: int = 10) -> ShiftSet:
     """Penzl-style suboptimal shift set from Ritz values of the pencil.
 
-    Runs ``arnoldi_steps`` Arnoldi steps with E^{-1}A and with A^{-1}E (the
-    reciprocals of the latter approximate the small-magnitude end), keeps
-    the stable candidates (reflecting unstable ones), and greedily selects
-    ``num`` shifts minimizing the ADI decay function over the candidates.
+    Runs ten Arnoldi steps with E^{-1}A and with A^{-1}E (the reciprocals
+    of the latter approximate the small-magnitude end), keeps the stable
+    candidates (reflecting unstable ones), and greedily selects ``num``
+    shifts minimizing the ADI decay function over the candidates.
     """
     n = ops.size()
-    steps = min(arnoldi_steps, n)
+    steps = min(10, n)
     cands = []
     fwd = _arnoldi_ritz(
         lambda x: ops.sol_e("N", ops.mul_a("N", x)), n, steps)
@@ -204,7 +206,7 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10,
 
     worst = [max(decay([p], t) for t in cands) for p in cands]
     chosen = [cands[int(np.argmin(worst))]]
-    if abs(chosen[0].imag) > _REAL_TOL * abs(chosen[0]):
+    if _width(chosen[0]) == 2:
         chosen.append(np.conj(chosen[0]))
     while len(chosen) < num:
         scores = [decay(chosen, t) for t in cands]
@@ -212,7 +214,7 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10,
         if any(abs(t - c) <= 1e-12 * abs(t) for c in chosen):
             break
         chosen.append(t)
-        if abs(t.imag) > _REAL_TOL * abs(t):
+        if _width(t) == 2:
             chosen.append(np.conj(t))
     return ShiftSet(_conjugate_close(np.asarray(chosen)))
 
@@ -228,41 +230,27 @@ def shift_pool(ops: OperatorSet, opts: AdiOptions) -> ShiftSet | None:
     return None
 
 
-class _ShiftSupply:
-    """Dispenses shifts: a fixed pool is cycled, the heuristic set is
-    computed once and cycled, projection shifts are refreshed from the most
-    recent solve blocks whenever the queue runs dry or goes stale."""
-
-    def __init__(self, ops, opts):
-        self.ops = ops
-        self.opts = opts
-        self.queue: list[complex] = []
-        pool = shift_pool(ops, opts)
-        self.cycle = None if pool is None else pool.values
-        self.idx = 0
-        self.since_refresh = 0
-
-    def next(self, w, recent_blocks):
-        if self.cycle is not None:
-            p = self.cycle[self.idx]
-            self.idx = (self.idx + 1) % len(self.cycle)
-            return p
-        if not self.queue or self.since_refresh >= self.opts.shift_batch:
-            basis = np.hstack(list(recent_blocks)) if recent_blocks else w
-            self.queue = list(projection_shifts(self.ops, basis).values)
-            self.since_refresh = 0
-        return self.queue.pop(0)
-
-    def consume_conjugate(self, p):
-        pc = np.conj(p)
-        if self.cycle is not None:
-            if self.cycle[self.idx] == pc:
-                self.idx = (self.idx + 1) % len(self.cycle)
-        elif self.queue and self.queue[0] == pc:
-            self.queue.pop(0)
-
-    def advance(self, steps):
-        self.since_refresh += steps
+def _schedule(ops: OperatorSet, opts: AdiOptions, w):
+    """Yields ``(shift, width)`` for each ADI step and takes the step's solve
+    block back by ``send``.  A pool from :func:`shift_pool` is cycled.
+    Otherwise each batch holds the projection shifts of the latest
+    ``shift_batch`` solve blocks (of ``w`` at first), renewed when it runs
+    out or after ``shift_batch`` iterations."""
+    pool = shift_pool(ops, opts)
+    if pool is not None:
+        i = 0
+        while True:
+            yield pool.values[i], _width(pool.values[i])
+            i = (i + _width(pool.values[i])) % len(pool)
+    recent = deque(maxlen=opts.shift_batch)
+    basis = w
+    while True:
+        batch = projection_shifts(ops, basis).values
+        i = 0
+        while i < min(len(batch), opts.shift_batch):
+            recent.append((yield batch[i], _width(batch[i])))
+            i += _width(batch[i])
+        basis = np.hstack(list(recent))
 
 
 def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
@@ -274,7 +262,8 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     P ~ Z Z^T, the relative residual history (one entry per shift consumed;
     a conjugate double-step records its final residual twice) and the shifts
     actually used.  Running out of iterations is not an error: the partial
-    factor comes back with ``converged=False``.
+    factor comes back with ``converged=False``.  A residual monitor that is
+    not finite raises :class:`SolverError`: the iteration diverged.
     """
     if opts is None:
         opts = AdiOptions()
@@ -286,53 +275,48 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     if res0 == 0.0:
         return AdiResult(LowRankFactor.empty(n), [], None, True, [])
 
-    supply = _ShiftSupply(ops, opts)
     w = g.astype(float).copy()
-    recent = deque(maxlen=opts.shift_batch)
+    schedule = _schedule(ops, opts, w)
+    block = None
     zblocks = []
     used = []
     history = []
     columns = []
-    ncols = 0
     it = 0
     converged = False
     while it < opts.max_iterations:
-        p = complex(supply.next(w, recent))
-        if p.real >= 0:
-            raise ValueError(f"unstable shift {p} supplied to lr_adi")
-        is_real = abs(p.imag) <= _REAL_TOL * abs(p)
+        p, width = schedule.send(block)
+        p = complex(p)
         try:
-            v = ops.sol_ape(side, p.real if is_real else p, side, w)
+            v = ops.sol_ape(side, p.real if width == 1 else p, side, w)
         except SingularOperatorError as exc:
             raise SingularOperatorError(
                 f"shift {p} coincides with a generalized eigenvalue") from exc
-        if is_real:
-            v = np.real(v)
-            w = w - 2.0 * p.real * ops.mul_e(side, v)
-            zblocks.append(np.sqrt(-2.0 * p.real) * v)
-            recent.append(v)
+        if width == 1:
+            block = np.real(v)
+            w = w - 2.0 * p.real * ops.mul_e(side, block)
+            zblocks.append(np.sqrt(-2.0 * p.real) * block)
             used.append(complex(p.real, 0.0))
-            inc = 1
         else:
-            supply.consume_conjugate(p)
             delta = p.real / p.imag
             gamma = 2.0 * np.sqrt(-p.real)
             vr = v.real + delta * v.imag
             w = w + gamma ** 2 * ops.mul_e(side, vr)
             zblocks.append(gamma * vr)
             zblocks.append(gamma * np.sqrt(delta ** 2 + 1.0) * v.imag)
-            recent.append(np.hstack([vr, v.imag]))
-            if p.imag > 0:
-                used.extend([p, np.conj(p)])
-            else:
-                used.extend([np.conj(p), p])
-            inc = 2
-        ncols += g.shape[1] * inc
-        it += inc
-        supply.advance(inc)
-        rel = spectral_norm(w) ** 2 / res0
-        history.extend([rel] * inc)
-        columns.extend([ncols] * inc)
+            block = np.hstack([vr, v.imag])
+            used.extend([p, np.conj(p)] if p.imag > 0 else [np.conj(p), p])
+        it += width
+        try:
+            rel = spectral_norm(w) ** 2 / res0
+        except OverflowError:
+            rel = np.inf
+        if not np.isfinite(rel):
+            raise SolverError(
+                f"LR-ADI diverged: the residual monitor is not finite after "
+                f"{it} iterations (is the pencil unstable?)")
+        history.extend([rel] * width)
+        columns.extend([g.shape[1] * it] * width)
         if rel <= opts.rel_tolerance:
             converged = True
             break

@@ -51,7 +51,6 @@ class NewtonOptions:
     rel_tolerance: float = 1e-9
     inner: AdiOptions = field(
         default_factory=lambda: AdiOptions(shift_strategy="heuristic"))
-    line_search: bool = True
 
     def __post_init__(self):
         if self.rel_tolerance <= 0:
@@ -133,7 +132,7 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
                     "inner ADI did not converge within its iteration budget")
             cand = inner.z
             cand_res = riccati_residual(spec, cand).relative
-            if opts.line_search and cand_res > prev_res * (1.0 + 1e-12):
+            if cand_res > prev_res * (1.0 + 1e-12):
                 accepted, accepted_res = cand, cand_res
                 lam = 1.0
                 for _ in range(_MAX_HALVINGS):

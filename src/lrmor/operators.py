@@ -1,9 +1,10 @@
 """Multiply/solve operations with A, E and A + pE for one system realization.
 
 All solver algorithms in this package touch the system matrices exclusively
-through an :class:`OperatorSet`.  The set performs structural sanity checks on
-construction, multiplies without densifying anything, and factorizes lazily:
-the first solve with A, E or a shifted A + pE triggers a sparse LU.
+through an :class:`OperatorSet`.  The set multiplies without densifying
+anything and factorizes lazily: the first solve with A, E or a shifted
+A + pE triggers a sparse LU.  The system checks its shapes and values once,
+when it is built.
 
 The LUs belong to the (A, E) pencil, not to the set: every
 :class:`~lrmor.system.LtiSystem` carries a :class:`LuCache`, which
@@ -72,8 +73,8 @@ def _check_trans(tr):
         raise ValueError(f"transpose flag must be 'N' or 'T', got {tr!r}")
 
 
-def _finite(arr) -> bool:
-    return bool(np.isfinite(arr).all())
+def _complex_lu(key) -> bool:
+    return key[0] == "ApE" and isinstance(key[1], complex)
 
 
 def _keep(cache, key, value, bound):
@@ -94,16 +95,16 @@ class LuCache(OrderedDict):
     """Sparse LUs of one (A, E) pencil, least recently used first, and the
     pencil's ordering and patterns.
 
-    Keys are ``("A",)``, ``("E",)`` and ``("ApE", p, mixed)`` for A + pE
+    Keys are ``("E",)`` and ``("ApE", p, mixed)`` for A + pE
     (``mixed=False``) or A + pE^T (``mixed=True``); real shifts are stored
-    as floats.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
-    :meth:`holding` raises it).  A counts as the shift 0.  The first LU of A
-    or A + pE, the origin, orders the pencil (see the module docstring) and
-    is always remade the MMD way, so an LU evicted and made again is the
-    same factorization; E's own LU keeps its own MMD ordering.
-    :meth:`private` caches share the ordering and patterns, not the LUs.
-    There is no lock: threads sharing a cache may make the same LU twice,
-    never a wrong one.
+    as floats, and A is the shift 0.0.  Only a complex shift makes a
+    complex LU.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
+    :meth:`holding` raises it).  The first LU of A or A + pE, the origin,
+    orders the pencil (see the module docstring) and is always remade the
+    MMD way, so an LU evicted and made again is the same factorization; E's
+    own LU keeps its own MMD ordering.  :meth:`private` caches share the
+    ordering and patterns, not the LUs.  There is no lock: threads sharing
+    a cache may make the same LU twice, never a wrong one.
     """
 
     def __init__(self, a, e=None):
@@ -153,7 +154,7 @@ class LuCache(OrderedDict):
     def _factorize(self, key):
         if key[0] == "E":
             return _splu(self.e.tocsc(), "MMD_AT_PLUS_A")
-        p, mixed = (0.0, False) if key[0] == "A" else key[1:]
+        p, mixed = key[1:]
         order = self._symbolic.get("order")
         if order is None or order[0] == key:
             lu = _splu(self._matrix(p, mixed, None), "MMD_AT_PLUS_A")
@@ -200,37 +201,6 @@ class OperatorSet:
         self.system = system
         self._cache = system.lu_cache if lus is None else lus
         self._woodbury_data = OrderedDict()
-        self._check_system()
-
-    # -- construction-time sanity checks ------------------------------------
-
-    def _check_system(self):
-        sys_ = self.system
-        a, e = sys_.a, sys_.e
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
-        n = a.shape[0]
-        if sys_.have_e and e.shape != (n, n):
-            raise ValueError(f"E must match A: {e.shape} vs {a.shape}")
-        if sys_.b.shape[0] != n:
-            raise ValueError(f"B has {sys_.b.shape[0]} rows, expected {n}")
-        if sys_.c.shape[1] != n:
-            raise ValueError(f"C has {sys_.c.shape[1]} columns, expected {n}")
-        if sys_.d.shape != (sys_.c.shape[0], sys_.b.shape[1]):
-            raise ValueError("D must be (outputs x inputs)")
-        if sys_.have_uv:
-            if sys_.u.shape[0] != n or sys_.v.shape[0] != n:
-                raise ValueError("U, V must have n rows")
-            if sys_.u.shape[1] != sys_.v.shape[1]:
-                raise ValueError("U, V must have equal column counts")
-        for name, mat in (("A", a.data), ("B", sys_.b), ("C", sys_.c),
-                          ("D", sys_.d)):
-            if not _finite(mat):
-                raise ValueError(f"non-finite entry in {name}")
-        if sys_.have_e and not _finite(e.data):
-            raise ValueError("non-finite entry in E")
-        if sys_.have_uv and not (_finite(sys_.u) and _finite(sys_.v)):
-            raise ValueError("non-finite entry in U or V")
 
     def size(self) -> int:
         """Dimension n of the state space."""
@@ -266,17 +236,17 @@ class OperatorSet:
 
     # -- solves ----------------------------------------------------------------
 
-    @staticmethod
-    def _lu_solve(factor, tr, b):
-        # factor is (lu, q) from LuCache.factor: with an order q the LU is of
-        # M[q][:, q], so M^tr x = b is solved for x[q] from b[q]
-        lu, q = factor
+    def _lu_solve(self, key, tr, b):
+        # (lu, q) for ``key`` from the cache: with an order q the LU is of
+        # M[q][:, q], so M^tr x = b is solved for x[q] from b[q].  The key
+        # says whether the LU is complex: reading lu.U would copy the factor
+        lu, q = self._cache.factor(key)
         b = np.asarray(b)
         squeeze = b.ndim == 1
         rhs = b.reshape(-1, 1) if squeeze else b
         if q is not None:
             rhs = rhs[q]
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(lu.U.data):
+        if np.iscomplexobj(rhs) and not _complex_lu(key):
             k = rhs.shape[1]
             y = lu.solve(np.hstack([rhs.real, rhs.imag]), trans=tr)
             x = y[:, :k] + 1j * y[:, k:]
@@ -295,23 +265,22 @@ class OperatorSet:
         # "N" and (V, U) for "T"; plain M^{-1} b without an update or with
         # k = 0.  The first solve with an LU solves [b, u] in one sweep and
         # keeps M^{-1}u and the capacitance matrix for the later ones.
-        factor = self._cache.factor(key)
         sys_ = self.system
         if not sys_.have_uv or sys_.u.shape[1] == 0:
-            return self._lu_solve(factor, tr, b)
+            return self._lu_solve(key, tr, b)
         u, v = (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
         data = self._woodbury_data.pop((key, tr), None)
         if data is None:
             b = np.asarray(b)
-            x = self._lu_solve(factor, tr, np.column_stack([b, u]))
+            x = self._lu_solve(key, tr, np.column_stack([b, u]))
             k = x.shape[1] - u.shape[1]
             y = x[:, 0] if b.ndim == 1 else x[:, :k]
             mu = x[:, k:]
-            if not np.iscomplexobj(factor[0].U.data):
+            if not _complex_lu(key):
                 mu = mu.real  # exact: a complex b only made the stack complex
             data = (mu, np.eye(u.shape[1]) + v.T @ mu)
         else:
-            y = self._lu_solve(factor, tr, b)
+            y = self._lu_solve(key, tr, b)
         mu, cap = _keep(self._woodbury_data, (key, tr), data,
                         self._cache.bound)
         try:
@@ -322,16 +291,17 @@ class OperatorSet:
         return y - (corr[:, 0] if y.ndim == 1 else corr)
 
     def sol_a(self, tr, b):
-        """Solve (A + U V^T)^tr X = B via Woodbury on the cached LU of A."""
+        """Solve (A + U V^T)^tr X = B via Woodbury on the cached LU of A,
+        the LU of the shift 0."""
         _check_trans(tr)
-        return self._woodbury(("A",), tr, b)
+        return self._woodbury(("ApE", 0.0, False), tr, b)
 
     def sol_e(self, tr, b):
         """Solve E^tr X = B; identity shortcut without E."""
         _check_trans(tr)
         if not self.system.have_e:
             return np.asarray(b)
-        return self._lu_solve(self._cache.factor(("E",)), tr, b)
+        return self._lu_solve(("E",), tr, b)
 
     def sol_ape(self, tr_a, p, tr_e, b):
         """Solve ((A + U V^T)^trA + p E^trE) X = B via Woodbury on the cached

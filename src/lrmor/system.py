@@ -37,16 +37,16 @@ def as_sparse(m, n=None):
     return out
 
 
-def _as_dense(m, rows=None, cols=None):
-    out = np.atleast_2d(np.asarray(m, dtype=float))
-    if rows is not None and out.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {out.shape}")
-    return out
+def _as_dense(m):
+    return np.atleast_2d(np.asarray(m, dtype=float))
 
 
 @dataclass
 class LtiSystem:
     """Holds one realization (E, A, B, C, D) plus an optional U V^T update.
+
+    Construction checks the shapes and that every entry is finite, and
+    raises ``ValueError`` otherwise.
 
     Parameters
     ----------
@@ -77,7 +77,6 @@ class LtiSystem:
 
     def __post_init__(self):
         self.a = as_sparse(self.a)
-        n = self.a.shape[0]
         if self.e is not None:
             self.e = as_sparse(self.e)
         self.have_e = self.e is not None
@@ -93,9 +92,34 @@ class LtiSystem:
             self.u = _as_dense(self.u)
             self.v = _as_dense(self.v)
         self.have_uv = self.u is not None
+        self._check()
         if self.lu_cache is None or self.lu_cache.a is not self.a \
                 or self.lu_cache.e is not self.e:
             self.lu_cache = LuCache(self.a, self.e)
+
+    def _check(self):
+        a, e = self.a, self.e
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"A must be square, got {a.shape}")
+        n = a.shape[0]
+        if self.have_e and e.shape != (n, n):
+            raise ValueError(f"E must match A: {e.shape} vs {a.shape}")
+        if self.b.shape[0] != n:
+            raise ValueError(f"B has {self.b.shape[0]} rows, expected {n}")
+        if self.c.shape[1] != n:
+            raise ValueError(f"C has {self.c.shape[1]} columns, expected {n}")
+        if self.d.shape != (self.c.shape[0], self.b.shape[1]):
+            raise ValueError("D must be (outputs x inputs)")
+        if self.have_uv:
+            if self.u.shape[0] != n or self.v.shape[0] != n:
+                raise ValueError("U, V must have n rows")
+            if self.u.shape[1] != self.v.shape[1]:
+                raise ValueError("U, V must have equal column counts")
+        for name, mat in (("A", a.data), ("B", self.b), ("C", self.c),
+                          ("D", self.d), ("E", e.data if self.have_e else 0),
+                          ("U or V", (self.u, self.v) if self.have_uv else 0)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"non-finite entry in {name}")
 
     @property
     def order(self) -> int:

@@ -85,3 +85,10 @@ def sparse_random(rng, n, density=0.2):
         rng.integers(2 ** 31)), format="csr")
     row_sums = np.asarray(np.abs(m).sum(axis=1)).ravel()
     return m + sp.diags(1.0 + row_sums)
+
+
+def unstable_fd_system():
+    """The 10 x 10 FD heat model shifted to A + 1e3 I: every eigenvalue
+    lies in the right half-plane, so LR-ADI from a stable shift diverges."""
+    fd = gen_fd_laplacian(10)
+    return LtiSystem(a=fd.a + 1e3 * sp.identity(fd.order), b=fd.b, c=fd.c)

@@ -2,11 +2,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from lrmor import (gen_fd_laplacian, read_dense, read_grid_csv, read_matrix,
                    write_matrix)
 from lrmor.cli import main
+
+from conftest import unstable_fd_system
 
 ROM_FILES = ["rom_A.mtx", "rom_B.mtx", "rom_C.mtx", "rom_D.mtx", "rom_E.mtx"]
 
@@ -84,6 +87,14 @@ class TestLyapCommand:
                      "--c-file", str(tmp_path / "C.mtx"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["lyap", "care"])
+    def test_divergence_exits_2(self, tmp_path, command):
+        sys_, flags = unstable_fd_system(), []
+        for x, m in (("a", sys_.a), ("b", sys_.b), ("c", sys_.c)):
+            write_matrix(tmp_path / f"{x}.mtx", m)
+            flags += [f"--{x}-file", str(tmp_path / f"{x}.mtx")]
+        assert main([command, *flags, "--out", str(tmp_path)]) == 2
 
 
 class TestUsageErrors:

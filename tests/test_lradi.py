@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+import lrmor.lradi
 from lrmor import (AdiOptions, LowRankFactor, LtiSystem, LyapunovSpec,
-                   OperatorSet, ShiftSet, SingularOperatorError,
+                   OperatorSet, ShiftSet, SingularOperatorError, SolverError,
                    dense_lyap_solve, heuristic_shifts, lr_adi, lyap_residual,
                    projection_shifts)
 
-from conftest import random_stable_system, scalar_system
+from conftest import random_stable_system, scalar_system, unstable_fd_system
 
 
 def complex_spectrum_system(rng, n=30, m=2):
@@ -208,3 +209,68 @@ class TestLrAdi:
                            AdiOptions(shifts=shifts, max_iterations=40,
                                       rel_tolerance=1e-12))
         np.testing.assert_allclose(res_splr.z.z, res_dense.z.z, atol=1e-9)
+
+    @pytest.mark.parametrize("strategy", ["projection", "heuristic"])
+    def test_divergence_raises_solver_error(self, strategy):
+        # every eigenvalue is unstable: the residual grows until its norm
+        # overflows, which must name the divergence, not leak OverflowError
+        with pytest.raises(SolverError, match="diverged"):
+            lr_adi(LyapunovSpec(unstable_fd_system(), "N"),
+                   AdiOptions(shift_strategy=strategy))
+
+
+class TestShiftSchedule:
+    """Which shift each ADI step takes: a fixed pool is cycled with its
+    conjugate pairs whole, projection shifts are renewed when a batch runs
+    out or after ``shift_batch`` iterations."""
+
+    @pytest.mark.parametrize("max_iterations, count", [(7, 7), (9, 10)])
+    def test_pool_wraps_with_pairs_intact(self, fd7, max_iterations, count):
+        pool = [-2.0 - 1.0j, -2.0 + 1.0j, -0.5, -9.0]
+        res = lr_adi(LyapunovSpec(fd7, "N"),
+                     AdiOptions(shifts=pool, max_iterations=max_iterations,
+                                rel_tolerance=1e-300))
+        assert not res.converged
+        # steps take 2, 1, 1, 2, 1, 1, 2 shifts: at 9 the last pair still
+        # runs whole, past the budget; each pair is recorded positive first
+        step = [-2.0 + 1.0j, -2.0 - 1.0j, -0.5, -9.0]
+        np.testing.assert_array_equal(res.shifts_used.values,
+                                      (step * 3)[:count])
+        assert len(res.residual_history) == count
+        assert res.columns_history[-1] == res.z.columns == count
+
+    @pytest.mark.parametrize("batch", [1, 3, 6])
+    def test_projection_renewal(self, rng, monkeypatch, batch):
+        batches, bases = [], []
+        original = lrmor.lradi.projection_shifts
+
+        def recording(ops, basis):
+            out = original(ops, basis)
+            batches.append(out.values)
+            bases.append(basis.shape[1])
+            return out
+
+        monkeypatch.setattr(lrmor.lradi, "projection_shifts", recording)
+        sys_ = complex_spectrum_system(rng)
+        res = lr_adi(LyapunovSpec(sys_, "N"),
+                     AdiOptions(shift_batch=batch, max_iterations=40,
+                                rel_tolerance=1e-300))
+        # replay: each batch serves min(len, batch) shifts, rounded up to
+        # a whole pair, before the next one is made; the first batch
+        # projects onto the m columns of W_0, each later one onto the
+        # blocks of the last ``batch`` steps (m columns per shift)
+        expected, widths = [], []
+        for values, cols in zip(batches, bases):
+            assert cols == sys_.b.shape[1] * sum(widths[-batch:] or [1])
+            i = 0
+            while i < min(len(values), batch) \
+                    and len(expected) < len(res.shifts_used):
+                width = 1 if values[i].imag == 0 else 2
+                expected.extend(values[i:i + width])
+                widths.append(width)
+                i += width
+        assert len(expected) == len(res.shifts_used) >= 40
+        np.testing.assert_array_equal(res.shifts_used.values, expected)
+        # no batch was made before the previous one was due
+        served = [min(len(v), batch) for v in batches[:-1]]
+        assert sum(served) < len(res.shifts_used)

@@ -8,7 +8,7 @@ from lrmor import (AdiOptions, LtiSystem, NewtonOptions, OperatorSet,
 from lrmor.lradi import shift_pool
 from lrmor.operators import MAX_LUS
 
-from conftest import random_stable_system, scalar_system
+from conftest import random_stable_system, scalar_system, unstable_fd_system
 
 
 class TestLrNewton:
@@ -51,6 +51,12 @@ class TestLrNewton:
         p_ref = dense_are_solve(None, sys_.a.T, sys_.c.T, sys_.b.T)
         err = np.linalg.norm(res.z.dense() - p_ref, 2)
         assert err <= 1e-6 * np.linalg.norm(p_ref, 2)
+
+    def test_unstable_pencil_divergence_raises_solver_error(self):
+        # K_0 = 0 cannot start from an unstable pencil: the first step's
+        # LR-ADI diverges and must say so instead of leaking OverflowError
+        with pytest.raises(SolverError, match="diverged"):
+            lr_newton(RiccatiSpec(unstable_fd_system(), "T"))
 
     def test_residuals_non_increasing_with_line_search(self, rng):
         sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)

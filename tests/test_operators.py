@@ -32,16 +32,14 @@ class TestInit:
         assert ops.size() == 2
 
     def test_dimension_mismatch(self):
-        sys_ = LtiSystem(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)),
-                         c=np.ones((1, 3)), e=np.eye(2))
         with pytest.raises(ValueError, match="E must match A"):
-            OperatorSet(sys_)
+            LtiSystem(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)),
+                      c=np.ones((1, 3)), e=np.eye(2))
 
     def test_b_rows_mismatch(self):
-        sys_ = LtiSystem(a=np.diag([-1.0, -2.0]), b=np.ones((3, 1)),
-                         c=np.ones((1, 2)))
         with pytest.raises(ValueError, match="B has"):
-            OperatorSet(sys_)
+            LtiSystem(a=np.diag([-1.0, -2.0]), b=np.ones((3, 1)),
+                      c=np.ones((1, 2)))
 
     def test_update_needs_both_factors(self):
         with pytest.raises(ValueError, match="both U and V"):
@@ -49,16 +47,14 @@ class TestInit:
                       u=np.ones((2, 1)))
 
     def test_update_column_mismatch(self):
-        sys_ = LtiSystem(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)),
-                         u=np.ones((2, 1)), v=np.ones((2, 2)))
         with pytest.raises(ValueError, match="equal column"):
-            OperatorSet(sys_)
+            LtiSystem(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)),
+                      u=np.ones((2, 1)), v=np.ones((2, 2)))
 
     def test_non_finite_entry(self):
-        sys_ = LtiSystem(a=np.diag([-1.0, np.inf]), b=np.ones((2, 1)),
-                         c=np.ones((1, 2)))
         with pytest.raises(ValueError, match="non-finite"):
-            OperatorSet(sys_)
+            LtiSystem(a=np.diag([-1.0, np.inf]), b=np.ones((2, 1)),
+                      c=np.ones((1, 2)))
 
 
 class TestMul:
@@ -550,6 +546,45 @@ class TestSharedLuCache:
         np.testing.assert_allclose(h, ref, rtol=1e-10)
         assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
         assert len(sys_.lu_cache) == 0
+
+    def test_sol_a_shares_the_lu_of_shift_zero(self, rng, lu_count):
+        sys_ = _rand_sys(rng, n=10, k=2)
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal((10, 2))
+        x = ops.sol_a("N", b)
+        y = ops.sol_ape("N", 0.0, "N", b)
+        assert lu_count() == 1
+        np.testing.assert_array_equal(x, y)
+        assert np.linalg.norm(sys_.dense_a_eff() @ x - b) \
+            <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("p", [-0.8, -0.8 + 1.3j])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_solves_never_read_the_factors(self, rng, p, k):
+        # reading SuperLU's L or U copies the whole factor; whether an LU
+        # is complex follows from its key
+        class FactorsHidden:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+            @property
+            def L(self):
+                raise AssertionError("LU factor read")
+
+            U = L
+
+        sys_ = _rand_sys(rng, n=9, k=k)
+        OperatorSet(sys_).sol_ape("N", p, "N", np.ones(9))
+        key = next(iter(sys_.lu_cache))
+        sys_.lu_cache[key] = FactorsHidden(sys_.lu_cache[key])
+        formed = sys_.dense_a_eff() + p * sys_.dense_e()
+        for b in (rng.standard_normal((9, 2)),
+                  rng.standard_normal(9) + 1j * rng.standard_normal(9)):
+            ops = OperatorSet(sys_)  # no Woodbury data yet
+            for tr in ("N", "T"):
+                x = ops.sol_ape(tr, p, tr, b)
+                ref = np.linalg.solve(formed if tr == "N" else formed.T, b)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_cache_for_other_matrices_is_replaced(self, rng):
         sys_ = _rand_sys(rng, n=6)
