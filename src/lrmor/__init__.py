@@ -13,8 +13,7 @@ from .lrnm import NewtonOptions, NewtonResult, closed_loop_check, lr_newton
 from .mmio import load_system, read_dense, read_matrix, write_matrix
 from .mor import (BalancingTransform, HsvReport, IrkaOptions, IrkaResult,
                   Rom, balanced_truncation, br_transform, irka, lqg_transform,
-                  pr_transform, project, square_root_method, transfer_eval,
-                  transformed_residual, variant_residual)
+                  pr_transform, project, square_root_method, transfer_eval)
 from .operators import OperatorSet
 from .pmor import (InterpolatoryRom, ParametricSystem, PiecewiseRom,
                    TrainingSet, bspline2_coefficients, chebyshev_samples,

@@ -40,10 +40,27 @@ class Rom:
         return self.a.shape[0]
 
     def transfer(self, s) -> np.ndarray:
-        """Hhat(s) = Chat (s Ehat - Ahat)^{-1} Bhat + D."""
+        """Hhat(s) = Chat (s Ehat - Ahat)^{-1} Bhat + D: (p, m) for one point
+        ``s``, (k, p, m) for a 1-D array of k points, whose pencils form one
+        stack; each point's values equal its own scalar call."""
+        s = np.asarray(s)
         if self.order == 0:
-            return self.d.astype(complex)
-        x = la.solve(s * self.e - self.a, self.b)
+            return np.broadcast_to(self.d, s.shape + self.d.shape) \
+                .astype(complex)
+        pencils = np.multiply.outer(s, self.e)
+        pencils -= self.a  # in place: a second stack costs more than the sum
+        if not (np.isfinite(pencils).all() and np.isfinite(self.b).all()):
+            raise ValueError("non-finite entry in the pencil or in B")
+        # the LU solve of scipy.linalg.solve without its condition estimate,
+        # which doubled the cost; numpy's own LAPACK rounds differently
+        getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"),
+                                           (pencils, self.b))
+        x = np.empty(s.shape + self.b.shape, getrf.dtype)
+        for i in np.ndindex(s.shape):
+            lu, piv, info = getrf(pencils[i])
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular pencil at s = {s[i]}")
+            x[i] = getrs(lu, piv, self.b)[0]
         return self.c @ x + self.d
 
 
@@ -384,40 +401,3 @@ def lqg_transform(system: LtiSystem) -> BalancingTransform:
     """
     return _dd_transform(system, "lqg", +1)
 
-
-def variant_residual(system: LtiSystem, variant: str, x: np.ndarray,
-                     side: str = "N") -> np.ndarray:
-    """Dense residual of the original PR/BR/LQG Riccati equation at ``x``."""
-    a = system.dense_a_eff()
-    e = system.dense_e()
-    b, c, d = system.b, system.c, system.d
-    x = np.atleast_2d(x)
-    if side == "T":
-        a, e, b, c, d = a.T, e.T, c.T, b.T, d.T
-    lin = a @ x @ e.T + e @ x @ a.T
-    epc = e @ x @ c.T
-    if variant == "positive_real":
-        core = la.solve(d + d.T, (epc - b).T)
-        return lin + (epc - b) @ core
-    if variant == "bounded_real":
-        core = la.solve(np.eye(d.shape[0]) - d @ d.T, (epc + b @ d.T).T)
-        return lin + b @ b.T + (epc + b @ d.T) @ core
-    if variant == "lqg":
-        core = la.solve(np.eye(d.shape[0]) + d @ d.T, (epc + b @ d.T).T)
-        return lin + b @ b.T - (epc + b @ d.T) @ core
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def transformed_residual(transform: BalancingTransform, x: np.ndarray,
-                         side: str = "N") -> np.ndarray:
-    """Dense residual of the rewritten (tilde) Riccati equation at ``x``."""
-    sys_ = transform.system
-    a = sys_.dense_a_eff()
-    e = sys_.dense_e()
-    b, c = sys_.b, sys_.c
-    x = np.atleast_2d(x)
-    if side == "T":
-        a, e, b, c = a.T, e.T, c.T, b.T
-    lin = a @ x @ e.T + e @ x @ a.T
-    quad = (e @ x @ c.T) @ (c @ x @ e.T)
-    return lin + b @ b.T + transform.quad_sign * quad

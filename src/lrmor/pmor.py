@@ -161,6 +161,8 @@ class PiecewiseRom:
         return project(self.psys.instantiate(mu), self.v, self.w)
 
     def transfer(self, mu: float, s) -> np.ndarray:
+        """Hhat(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D
+        array of k points (see ``Rom.transfer``)."""
         return self.instantiate(mu).transfer(s)
 
 
@@ -266,6 +268,8 @@ class InterpolatoryRom:
                    d=d_mu)
 
     def transfer(self, mu: float, s) -> np.ndarray:
+        """Hhat(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D
+        array of k points (see ``Rom.transfer``)."""
         return self.instantiate(mu).transfer(s)
 
 

@@ -8,8 +8,10 @@ with header ``mu,omega,value``.
 
 The sweeps know no model type: a parametric model's ``instantiate(mu)`` is
 called once per grid row and returns a non-parametric model, whose
-``transfer(s)`` is called once per cell.  A model without ``instantiate`` is
-non-parametric and serves every row as it is.
+``transfer(s)`` takes the row's points as one vector.  A model without
+``instantiate`` is non-parametric and serves every row as it is.  A row
+that hits a singular point is redone point by point, so that only its
+singular cells become NaN.
 """
 
 from __future__ import annotations
@@ -49,17 +51,26 @@ def _at(obj, mu):
     return obj.instantiate(mu) if hasattr(obj, "instantiate") else obj
 
 
-def _sweep(cell, objs, mus, omegas):
-    """``cell(models, s)`` per cell; ``models`` are ``objs`` at the row's mu."""
+def _sweep(row, objs, mus, omegas):
+    """``row(models, points)`` per row, ``models`` being ``objs`` at its mu."""
     values = np.empty((len(mus), len(omegas)))
+    points = 1j * omegas
     for i, mu in enumerate(mus):
         models = [_at(obj, mu) for obj in objs]
-        for j, om in enumerate(omegas):
-            try:
-                values[i, j] = cell(models, 1j * om)
-            except (SingularOperatorError, np.linalg.LinAlgError):
-                values[i, j] = np.nan
+        try:
+            values[i] = row(models, points)
+        except (SingularOperatorError, np.linalg.LinAlgError):
+            for j, s in enumerate(points):
+                try:
+                    values[i, j] = row(models, s)
+                except (SingularOperatorError, np.linalg.LinAlgError):
+                    values[i, j] = np.nan
     return values
+
+
+def _sigma_max(h):
+    """||H||_2 of each (p, m) matrix of ``h``."""
+    return np.linalg.norm(h, 2, axis=(-2, -1))
 
 
 def sigma_grid(obj, cfg=None, mus=None, omegas=None) -> SigmaGrid:
@@ -71,10 +82,10 @@ def sigma_grid(obj, cfg=None, mus=None, omegas=None) -> SigmaGrid:
     """
     mus, omegas = _resolve_samples(obj, cfg, mus, omegas)
 
-    def cell(models, s):
-        return np.linalg.norm(np.atleast_2d(models[0].transfer(s)), 2)
+    def row(models, s):
+        return _sigma_max(models[0].transfer(s))
 
-    return SigmaGrid(mus, omegas, _sweep(cell, [obj], mus, omegas))
+    return SigmaGrid(mus, omegas, _sweep(row, [obj], mus, omegas))
 
 
 def sigma_error_grid(full_obj, rom_obj, cfg=None, mus=None,
@@ -82,15 +93,13 @@ def sigma_error_grid(full_obj, rom_obj, cfg=None, mus=None,
     """Relative sigma-magnitude error ||H - Hhat||_2 / ||H||_2 per cell."""
     mus, omegas = _resolve_samples(full_obj, cfg, mus, omegas)
 
-    def cell(models, s):
+    def row(models, s):
         full, rom = models
-        h = np.atleast_2d(full.transfer(s))
-        hh = np.atleast_2d(rom.transfer(s))
-        ref = np.linalg.norm(h, 2)
-        return np.linalg.norm(h - hh, 2) / ref
+        h = full.transfer(s)
+        return _sigma_max(h - rom.transfer(s)) / _sigma_max(h)
 
     return SigmaGrid(mus, omegas,
-                     _sweep(cell, [full_obj, rom_obj], mus, omegas))
+                     _sweep(row, [full_obj, rom_obj], mus, omegas))
 
 
 def _resolve_samples(obj, cfg, mus, omegas):

@@ -134,12 +134,16 @@ class LtiSystem:
         return self.c.shape[0]
 
     def transfer(self, s) -> np.ndarray:
-        """H(s) = C (sE - A)^{-1} B + D with one sparse factorization for s.
+        """H(s) = C (sE - A)^{-1} B + D: (p, m) for one point ``s``, (k, p, m)
+        for a 1-D array of k points, with one sparse LU per point.
 
-        The LU is private to the call: sweeps never repeat a point, and
-        holding their LUs in the shared cache would only raise memory.  The
-        pencil's ordering and pattern are shared, so a sweep orders the
-        pencil once."""
+        Each LU is private to its point and gone before the next is made:
+        sweeps never repeat a point, and holding their LUs would only raise
+        memory.  The pencil's ordering and pattern are shared, so a sweep
+        orders the pencil once."""
+        if np.ndim(s):
+            h = [self.transfer(p) for p in s]
+            return np.stack(h) if h else np.empty((0,) + self.d.shape, complex)
         ops = OperatorSet(self, self.lu_cache.private())
         x = ops.sol_ape("N", -s, "N", self.b)
         return -(self.c @ x) + self.d

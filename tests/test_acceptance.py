@@ -20,7 +20,7 @@ from lrmor import (AdiOptions, BenchConfig, LtiSystem, LyapunovSpec,
                    read_grid_csv, sigma_error_grid, stability_check, train,
                    transfer_eval)
 from lrmor.cli import main as cli_main
-from lrmor.mor import transformed_residual, variant_residual
+from referees import transformed_residual, variant_residual
 
 from conftest import pair_sorted, random_stable_system, scalar_system
 

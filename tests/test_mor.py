@@ -9,15 +9,25 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 import lrmor
-from lrmor import (IrkaOptions, LowRankFactor, LtiSystem, LyapunovSpec,
+from lrmor import (IrkaOptions, LowRankFactor, LtiSystem, LyapunovSpec, Rom,
                    OperatorSet, RiccatiSpec, balanced_truncation, br_transform,
                    dense_lyap_solve, gen_fd_laplacian, heuristic_shifts,
                    irka, lqg_transform, lr_adi, lr_newton, pr_transform,
                    project, spsd_factor, square_root_method, stability_check,
                    transfer_eval)
-from lrmor.mor import transformed_residual, variant_residual
+from referees import transformed_residual, variant_residual
 
 from conftest import pair_sorted, random_stable_system, scalar_system
+
+
+def assert_stacks_scalar_calls(transfer, shape):
+    """``transfer`` of a 1-D array of points is the stack of its scalar
+    calls, bit for bit, for complex and for real points."""
+    for points in (1j * np.logspace(-2, 2, 7) + 0.5, np.array([0.0, 2.0])):
+        h = transfer(points)
+        assert h.shape == (len(points),) + shape
+        np.testing.assert_array_equal(h, np.stack([transfer(s)
+                                                   for s in points]))
 
 
 def sampled_h_error(sys_, rom, omegas):
@@ -59,6 +69,37 @@ class TestTransferEval:
             for model in (base, sys_):
                 np.testing.assert_array_equal(model.transfer(1.0 + 1.0j),
                                               transfer_eval(model, 1.0 + 1.0j))
+
+    @pytest.mark.parametrize("with_e", [False, True])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_system_transfer_over_points_stacks_scalar_calls(self, rng,
+                                                             with_e, k):
+        sys_ = random_stable_system(rng, 8, m=2, p=3, with_e=with_e)
+        if k:
+            sys_ = sys_.with_update(0.1 * rng.standard_normal((8, k)),
+                                    rng.standard_normal((8, k)))
+        assert_stacks_scalar_calls(sys_.transfer, (3, 2))
+
+    def test_rom_transfer_over_points_stacks_scalar_calls(self, rng):
+        sys_ = random_stable_system(rng, 8, m=2, p=3, with_e=True)
+        basis = np.linalg.qr(rng.standard_normal((8, 4)))[0]
+        assert_stacks_scalar_calls(project(sys_, basis, basis).transfer,
+                                   (3, 2))
+
+    def test_order_zero_rom_transfer_over_points_is_d(self, rng):
+        d = rng.standard_normal((3, 2))
+        rom = Rom(e=np.zeros((0, 0)), a=np.zeros((0, 0)), b=np.zeros((0, 2)),
+                  c=np.zeros((3, 0)), d=d)
+        assert_stacks_scalar_calls(rom.transfer, (3, 2))
+        np.testing.assert_array_equal(rom.transfer(1j * np.ones(4)),
+                                      np.stack([d] * 4))
+
+    def test_rom_with_non_finite_entry_rejected(self):
+        rom = Rom(e=np.eye(2), a=np.diag([-1.0, np.nan]), b=np.ones((2, 1)),
+                  c=np.ones((1, 2)), d=np.zeros((1, 1)))
+        for s in (1j, 1j * np.ones(3)):
+            with pytest.raises(ValueError, match="non-finite"):
+                rom.transfer(s)
 
     def test_modules_import_without_cycle(self):
         # system imports operators at module level; operators must not

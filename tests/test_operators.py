@@ -1,14 +1,16 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import lrmor.operators
 from lrmor import (AdiOptions, LtiSystem, LyapunovSpec, NewtonOptions,
                    OperatorSet, RiccatiSpec, SingularOperatorError,
                    gen_fd_laplacian, lr_adi, lr_newton)
-from lrmor.operators import MAX_LUS
+from lrmor.operators import MAX_LUS, LuCache
 
 from conftest import scalar_system, sparse_random
 
@@ -546,6 +548,39 @@ class TestSharedLuCache:
         np.testing.assert_allclose(h, ref, rtol=1e-10)
         assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
         assert len(sys_.lu_cache) == 0
+
+    def test_transfer_over_points_holds_one_lu_at_a_time(self, rng,
+                                                         monkeypatch,
+                                                         permc_specs):
+        # bound: one call over 15 points orders the pencil once and keeps
+        # no LU; each point's LU is gone before the next one is made
+        sys_ = _rand_sys(rng, n=10)
+        private_caches = []
+        private = LuCache.private
+
+        def tracked(cache):
+            out = private(cache)
+            private_caches.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(LuCache, "private", tracked)
+        held = []
+        recording = lrmor.operators.splu  # permc_specs records the LUs
+
+        def counting(*args, **kwargs):
+            held.append(sum(len(ref()) for ref in private_caches
+                            if ref() is not None))
+            return recording(*args, **kwargs)
+
+        monkeypatch.setattr(lrmor.operators, "splu", counting)
+        omegas = np.logspace(-2, 2, 15)
+        h = sys_.transfer(1j * omegas)
+        ref = sys_.c @ np.linalg.solve(
+            1j * omegas[-1] * sys_.dense_e() - sys_.a.toarray(), sys_.b)
+        np.testing.assert_allclose(h[-1], ref, rtol=1e-10)
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
+        assert len(sys_.lu_cache) == 0
+        assert held == [0] * 15
 
     def test_sol_a_shares_the_lu_of_shift_zero(self, rng, lu_count):
         sys_ = _rand_sys(rng, n=10, k=2)

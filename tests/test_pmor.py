@@ -143,6 +143,24 @@ class TestPiecewise:
             prom.transfer(1e5, 1j)
 
 
+class TestTransferOverPoints:
+    """transfer(mu, points) is the stack of the scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("assemble", [
+        piecewise_assemble,
+        lambda ts: interpolatory_assemble(ts, "lagrange"),
+        lambda ts: interpolatory_assemble(ts, "bspline2")],
+        ids=["piecewise", "lagrange", "bspline2"])
+    def test_stacks_scalar_calls(self, ts_bt, assemble):
+        prom = assemble(ts_bt)
+        points = 1j * np.logspace(-3, 3, 9)
+        for mu in (2e-6, 0.3, 50.0):
+            h = prom.transfer(mu, points)
+            assert h.shape == (len(points),) + prom.transfer(mu, 1j).shape
+            np.testing.assert_array_equal(
+                h, np.stack([prom.transfer(mu, s) for s in points]))
+
+
 class TestCoefficients:
     def test_lagrange_cardinality(self):
         nodes = np.array([-2.0, 0.0, 1.0, 3.0])

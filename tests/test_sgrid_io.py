@@ -2,15 +2,38 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lrmor import (BenchConfig, LtiSystem, ParametricSystem,
-                   gen_fd_laplacian, gen_thermal_block_mini,
-                   interpolatory_assemble, load_system, log_samples,
-                   piecewise_assemble, project, read_dense, read_grid_csv,
-                   read_matrix, sigma_error_grid, sigma_grid, train,
-                   write_grid_csv, write_matrix)
+from lrmor import (BenchConfig, LtiSystem, ParametricSystem, PiecewiseRom,
+                   SingularOperatorError, gen_fd_laplacian,
+                   gen_thermal_block_mini, interpolatory_assemble,
+                   load_system, log_samples, piecewise_assemble, project,
+                   read_dense, read_grid_csv, read_matrix, sigma_error_grid,
+                   sigma_grid, train, write_grid_csv, write_matrix)
 from lrmor.sgrid import SigmaGrid, frequency_samples, parameter_samples
 
 from conftest import scalar_system
+
+def per_cell_values(cell, objs, mus, omegas):
+    """The sweep as one scalar ``transfer`` per cell: ``cell(models, s)``
+    with ``models`` the ``objs`` at the row's mu, NaN where it raises."""
+    values = np.empty((len(mus), len(omegas)))
+    for i, mu in enumerate(mus):
+        models = [obj.instantiate(mu) if hasattr(obj, "instantiate") else obj
+                  for obj in objs]
+        for j, om in enumerate(omegas):
+            try:
+                values[i, j] = cell(models, 1j * om)
+            except (SingularOperatorError, np.linalg.LinAlgError):
+                values[i, j] = np.nan
+    return values
+
+
+def sigma_cell(models, s):
+    return np.linalg.norm(models[0].transfer(s), 2)
+
+
+def error_cell(models, s):
+    h = models[0].transfer(s)
+    return np.linalg.norm(h - models[1].transfer(s), 2) / np.linalg.norm(h, 2)
 
 
 class TestSigmaGrid:
@@ -51,6 +74,38 @@ class TestSigmaGrid:
         assert np.isnan(grid.values[0, 1])
         assert np.isfinite(grid.values[0, 2])
 
+    def test_singular_rom_cell_is_nan_and_its_row_kept(self):
+        # the pencil of test_singular_point_becomes_nan as a dense ROM
+        full = LtiSystem(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[1.0], [0.0]],
+                         c=[[0.0, 1.0]])
+        rom = project(full, np.eye(2), np.eye(2))
+        omegas = [0.5, 1.0, 2.0, 3.0]
+        grid = sigma_grid(rom, omegas=omegas)
+        np.testing.assert_array_equal(np.isnan(grid.values),
+                                      [[False, True, False, False]])
+        for j in (0, 2, 3):
+            assert grid.values[0, j] == np.linalg.norm(
+                rom.transfer(1j * omegas[j]), 2)
+        np.testing.assert_array_equal(
+            sigma_error_grid(full, rom, omegas=omegas).values,
+            per_cell_values(error_cell, [full, rom], [0.0], omegas))
+
+    def test_singular_cells_of_parametric_rom_rows_are_nan(self):
+        # eigenvalues +-i*mu: singular at omega = mu
+        psys = ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
+                                b_fn=lambda mu: [[1.0], [0.0]],
+                                c_fn=lambda mu: [[0.0, 1.0]],
+                                domain=(0.5, 4.0))
+        prom = PiecewiseRom(psys, np.eye(2), np.eye(2), 0.0, True, [2], 2)
+        mus, omegas = [1.0, 2.0], [0.5, 1.0, 2.0, 3.0]
+        grid = sigma_grid(prom, mus=mus, omegas=omegas)
+        expected = np.zeros((2, 4), dtype=bool)
+        expected[0, 1] = expected[1, 2] = True
+        np.testing.assert_array_equal(np.isnan(grid.values), expected)
+        for i, j in zip(*np.nonzero(~expected)):
+            assert grid.values[i, j] == np.linalg.norm(
+                prom.transfer(mus[i], 1j * omegas[j]), 2)
+
     def test_singular_cell_of_parametric_system_is_nan(self):
         # eigenvalues +-i*mu: of this grid only (mu, omega) = (1, 1) is
         # singular
@@ -62,6 +117,14 @@ class TestSigmaGrid:
         expected = np.zeros((2, 3), dtype=bool)
         expected[0, 1] = True
         np.testing.assert_array_equal(np.isnan(grid.values), expected)
+
+    def test_no_frequencies_give_empty_rows(self, rng):
+        from conftest import random_stable_system
+        sys_ = random_stable_system(rng, 4, m=2, p=2)
+        rom = project(sys_, np.eye(4)[:, :2], np.eye(4)[:, :2])
+        assert sigma_grid(sys_, omegas=[]).values.shape == (1, 0)
+        assert sigma_error_grid(sys_, rom, mus=[0.0, 1.0],
+                                omegas=[]).values.shape == (2, 0)
 
     def test_parametric_input_needs_mus(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=8))
@@ -91,6 +154,25 @@ class TestParametricRomSweeps:
         expected = [[np.linalg.norm(model.transfer(mu, 1j * w), 2)
                      for w in omegas] for mu in mus]
         np.testing.assert_array_equal(grid.values, expected)
+
+    @pytest.mark.parametrize("kind", ["full", "piecewise", "two-sided",
+                                      "lagrange", "bspline2"])
+    def test_grids_match_per_cell_loop(self, training, kind):
+        psys = training.psys
+        model = {"full": lambda: psys,
+                 "piecewise": lambda: piecewise_assemble(training,
+                                                         one_sided=True),
+                 "two-sided": lambda: piecewise_assemble(training),
+                 "lagrange": lambda: interpolatory_assemble(training),
+                 "bspline2": lambda: interpolatory_assemble(
+                     training, "bspline2")}[kind]()
+        mus, omegas = np.logspace(-6, 2, 4), np.logspace(-4, 4, 6)
+        np.testing.assert_array_equal(
+            sigma_grid(model, mus=mus, omegas=omegas).values,
+            per_cell_values(sigma_cell, [model], mus, omegas))
+        np.testing.assert_array_equal(
+            sigma_error_grid(psys, model, mus=mus, omegas=omegas).values,
+            per_cell_values(error_cell, [psys, model], mus, omegas))
 
 
 class TestCsvRoundTrip:
