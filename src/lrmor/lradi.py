@@ -13,6 +13,9 @@ onto a small orthonormalized basis (the initial residual factor at first,
 the most recent solve blocks afterwards).  A Ritz-value-based heuristic set
 computed once from Arnoldi runs with A and A^{-1} is available as the
 fallback and as an explicit strategy.
+
+A run takes its shifts from outside one step at a time; :func:`lr_adi` and
+:func:`_gramian_pair` (both Gramians on one schedule) drive runs.
 """
 
 from __future__ import annotations
@@ -253,6 +256,67 @@ def _schedule(ops: OperatorSet, opts: AdiOptions, w):
         basis = np.hstack(list(recent))
 
 
+class _AdiRun:
+    """One LR-ADI run on ``side`` of the pencil behind ``ops``: :meth:`step`
+    takes one step with the shift it is given and returns the solve block;
+    ``done`` once the monitor meets the tolerance or the budget is spent."""
+
+    def __init__(self, ops: OperatorSet, side: str, opts: AdiOptions):
+        self.ops, self.side, self.opts = ops, side, opts
+        g = constant_term_factor(ops.system, side)
+        self.res0 = spectral_norm(g) ** 2
+        self.w = g.astype(float).copy()
+        self.zblocks, self.used, self.history, self.columns = [], [], [], []
+        self.it, self.converged = 0, self.res0 == 0.0
+
+    @property
+    def done(self) -> bool:
+        return self.converged or self.it >= self.opts.max_iterations
+
+    def step(self, p, width) -> np.ndarray:
+        ops, side, w = self.ops, self.side, self.w
+        p = complex(p)
+        try:
+            v = ops.sol_ape(side, p.real if width == 1 else p, side, w)
+        except SingularOperatorError as exc:
+            raise SingularOperatorError(
+                f"shift {p} coincides with a generalized eigenvalue") from exc
+        if width == 1:
+            block = np.real(v)
+            self.w = w - 2.0 * p.real * ops.mul_e(side, block)
+            self.zblocks.append(np.sqrt(-2.0 * p.real) * block)
+            self.used.append(complex(p.real, 0.0))
+        else:
+            delta = p.real / p.imag
+            gamma = 2.0 * np.sqrt(-p.real)
+            vr = v.real + delta * v.imag
+            self.w = w + gamma ** 2 * ops.mul_e(side, vr)
+            self.zblocks.append(gamma * vr)
+            self.zblocks.append(gamma * np.sqrt(delta ** 2 + 1.0) * v.imag)
+            block = np.hstack([vr, v.imag])
+            self.used.extend([p, np.conj(p)] if p.imag > 0
+                             else [np.conj(p), p])
+        self.it += width
+        try:
+            rel = spectral_norm(self.w) ** 2 / self.res0
+        except OverflowError:
+            rel = np.inf
+        if not np.isfinite(rel):
+            raise SolverError(
+                f"LR-ADI diverged: the residual monitor is not finite after "
+                f"{self.it} iterations (is the pencil unstable?)")
+        self.history.extend([rel] * width)
+        self.columns.extend([w.shape[1] * self.it] * width)
+        self.converged = rel <= self.opts.rel_tolerance
+        return block
+
+    def result(self) -> AdiResult:
+        z = LowRankFactor(np.hstack(self.zblocks) if self.zblocks
+                          else np.zeros((self.ops.size(), 0)))
+        shifts = ShiftSet(np.asarray(self.used)) if self.res0 else None
+        return AdiResult(z, self.history, shifts, self.converged, self.columns)
+
+
 def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     """Low-rank ADI for one of the dual Lyapunov equations.
 
@@ -265,61 +329,29 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     factor comes back with ``converged=False``.  A residual monitor that is
     not finite raises :class:`SolverError`: the iteration diverged.
     """
-    if opts is None:
-        opts = AdiOptions()
-    ops = OperatorSet(spec.system)
-    side = spec.side
-    g = constant_term_factor(spec.system, side)
-    n = ops.size()
-    res0 = spectral_norm(g) ** 2
-    if res0 == 0.0:
-        return AdiResult(LowRankFactor.empty(n), [], None, True, [])
+    run = _AdiRun(OperatorSet(spec.system), spec.side, opts or AdiOptions())
+    schedule, block = _schedule(run.ops, run.opts, run.w), None
+    while not run.done:
+        block = run.step(*schedule.send(block))
+    return run.result()
 
-    w = g.astype(float).copy()
-    schedule = _schedule(ops, opts, w)
-    block = None
-    zblocks = []
-    used = []
-    history = []
-    columns = []
-    it = 0
-    converged = False
-    while it < opts.max_iterations:
-        p, width = schedule.send(block)
-        p = complex(p)
-        try:
-            v = ops.sol_ape(side, p.real if width == 1 else p, side, w)
-        except SingularOperatorError as exc:
-            raise SingularOperatorError(
-                f"shift {p} coincides with a generalized eigenvalue") from exc
-        if width == 1:
-            block = np.real(v)
-            w = w - 2.0 * p.real * ops.mul_e(side, block)
-            zblocks.append(np.sqrt(-2.0 * p.real) * block)
-            used.append(complex(p.real, 0.0))
-        else:
-            delta = p.real / p.imag
-            gamma = 2.0 * np.sqrt(-p.real)
-            vr = v.real + delta * v.imag
-            w = w + gamma ** 2 * ops.mul_e(side, vr)
-            zblocks.append(gamma * vr)
-            zblocks.append(gamma * np.sqrt(delta ** 2 + 1.0) * v.imag)
-            block = np.hstack([vr, v.imag])
-            used.extend([p, np.conj(p)] if p.imag > 0 else [np.conj(p), p])
-        it += width
-        try:
-            rel = spectral_norm(w) ** 2 / res0
-        except OverflowError:
-            rel = np.inf
-        if not np.isfinite(rel):
-            raise SolverError(
-                f"LR-ADI diverged: the residual monitor is not finite after "
-                f"{it} iterations (is the pencil unstable?)")
-        history.extend([rel] * width)
-        columns.extend([g.shape[1] * it] * width)
-        if rel <= opts.rel_tolerance:
-            converged = True
-            break
-    z = LowRankFactor(np.hstack(zblocks) if zblocks else np.zeros((n, 0)))
-    return AdiResult(z, history, ShiftSet(np.asarray(used)), converged,
-                     columns)
+
+def _gramian_pair(system, opts: AdiOptions) -> tuple[AdiResult, AdiResult]:
+    """LR-ADI runs for the Gramians P (side "N") and Q (side "T") of
+    ``system`` on one operator set: P's run is :func:`lr_adi`'s, and Q takes
+    each of P's shifts right after P, on the LU P just made.  Once P has
+    converged, Q goes on alone on a schedule of its own latest blocks."""
+    ops = OperatorSet(system)
+    runs = _AdiRun(ops, "N", opts), _AdiRun(ops, "T", opts)
+    schedule, block = _schedule(ops, opts, runs[0].w), None
+    recent = []
+    while not runs[0].done:
+        shift = schedule.send(block)
+        block = runs[0].step(*shift)
+        if not runs[1].done:
+            recent.append(runs[1].step(*shift))
+    basis = np.hstack(recent[-opts.shift_batch:] or [runs[1].w])
+    schedule, block = _schedule(ops, opts, basis), None
+    while runs[0].converged and not runs[1].done:
+        block = runs[1].step(*schedule.send(block))
+    return runs[0].result(), runs[1].result()

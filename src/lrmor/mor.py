@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .equations import LowRankFactor, LyapunovSpec, orthonormal_basis
+from .equations import LowRankFactor, orthonormal_basis
 from .errors import SingularOperatorError, SolverError
-from .lradi import AdiOptions, lr_adi
+from .lradi import AdiOptions, _gramian_pair, _width
 from .operators import OperatorSet
 from .system import LtiSystem
-
-_REAL_TOL = 1e-13
 
 
 @dataclass
@@ -139,14 +137,14 @@ def balanced_truncation(system: LtiSystem, order: int | None = None,
 
     Both Gramians are solved by LR-ADI at a fixed relative tolerance of
     1e-10: the equation accuracy is decoupled from the truncation tolerance.
-    D is copied unchanged.
+    The two runs go in lock-step on P's shifts, so each sparse LU serves
+    both; Q then finishes on a schedule of its own (see
+    :func:`~lrmor.lradi._gramian_pair`).  D is copied unchanged.
     """
-    if adi_options is None:
-        adi_options = AdiOptions(rel_tolerance=1e-10)
-    res_p = lr_adi(LyapunovSpec(system, "N"), adi_options)
+    res_p, res_q = _gramian_pair(
+        system, adi_options or AdiOptions(rel_tolerance=1e-10))
     if not res_p.converged:
         raise SolverError("controllability Gramian ADI did not converge")
-    res_q = lr_adi(LyapunovSpec(system, "T"), adi_options)
     if not res_q.converged:
         raise SolverError("observability Gramian ADI did not converge")
     return square_root_method(res_p.z, res_q.z, system, order=order, tol=tol)
@@ -219,7 +217,7 @@ def _rational_basis(ops, system, sigma, b_dirs, c_dirs):
                 if attempt == 3:
                     raise
                 shift = shift * (1.0 + 1e-6)  # nudge off the pole
-        if abs(s.imag) <= _REAL_TOL * abs(s):
+        if _width(s) == 1:
             vcols.append(np.real(x))
             wcols.append(np.real(y))
             i += 1

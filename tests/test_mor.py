@@ -9,12 +9,14 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 import lrmor
-from lrmor import (IrkaOptions, LowRankFactor, LtiSystem, LyapunovSpec, Rom,
-                   OperatorSet, RiccatiSpec, balanced_truncation, br_transform,
-                   dense_lyap_solve, gen_fd_laplacian, heuristic_shifts,
-                   irka, lqg_transform, lr_adi, lr_newton, pr_transform,
-                   project, spsd_factor, square_root_method, stability_check,
-                   transfer_eval)
+from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
+                   LtiSystem, LyapunovSpec, Rom, OperatorSet, RiccatiSpec,
+                   SolverError, balanced_truncation, br_transform,
+                   dense_lyap_solve, gen_fd_laplacian, gen_thermal_block_mini,
+                   heuristic_shifts, irka, lqg_transform, lr_adi, lr_newton,
+                   lyap_residual, pr_transform, project, spsd_factor,
+                   square_root_method, stability_check, transfer_eval)
+from lrmor.lradi import _gramian_pair
 from referees import transformed_residual, variant_residual
 
 from conftest import pair_sorted, random_stable_system, scalar_system
@@ -234,6 +236,124 @@ class TestBalancedTruncation:
         np.testing.assert_allclose(rom.a, rom.w.T @ a @ rom.v, atol=1e-12)
         np.testing.assert_allclose(rom.b, rom.w.T @ sys_.b, atol=1e-12)
         np.testing.assert_allclose(rom.c, sys_.c @ rom.v, atol=1e-12)
+
+
+BT_ADI = AdiOptions(rel_tolerance=1e-10)
+
+
+def thermal_sample():
+    """A grid-12 thermal block at mu = 100, where Q needs shifts of its own
+    after P has converged."""
+    return gen_thermal_block_mini(BenchConfig(grid_size=12)).instantiate(100.0)
+
+
+def fd20():
+    return gen_fd_laplacian(20)
+
+
+def distinct_lus(*results):
+    """LUs the shifts of ``results`` need: one per real shift, one per
+    conjugate pair."""
+    return len({v for r in results for v in r.shifts_used.values
+                if v.imag >= 0})
+
+
+def q_residual(sys_, res_q):
+    return lyap_residual(LyapunovSpec(sys_, "T"), res_q.z).relative
+
+
+class TestGramianPair:
+    """BT runs P and Q in lock-step on P's shifts, so that each LU serves
+    both sides, and Q finishes on a schedule of its own."""
+
+    @pytest.mark.parametrize("make", [fd20, thermal_sample])
+    def test_p_is_lr_adi_and_q_meets_tolerance(self, make):
+        sys_ = make()
+        res_p, res_q = _gramian_pair(sys_, BT_ADI)
+        ref = lr_adi(LyapunovSpec(make(), "N"), BT_ADI)
+        assert np.array_equal(res_p.z.z, ref.z.z)
+        np.testing.assert_array_equal(res_p.shifts_used.values,
+                                      ref.shifts_used.values)
+        assert res_q.converged
+        assert q_residual(sys_, res_q) <= 1e-10
+
+    @pytest.mark.parametrize("make", [fd20, thermal_sample])
+    def test_one_lu_per_shift_serves_both_sides(self, make, lu_count):
+        start = lu_count()
+        balanced_truncation(make(), tol=1e-4)
+        bt = lu_count() - start
+        sys_ = make()
+        start = lu_count()
+        for side in ("N", "T"):
+            lr_adi(LyapunovSpec(sys_, side), BT_ADI)
+        assert bt < lu_count() - start
+        # P's shifts, then those of Q's own tail; none is factorized twice
+        assert bt == distinct_lus(*_gramian_pair(make(), BT_ADI))
+
+    def test_zero_b_runs_q_alone_from_its_own_residual(self):
+        fd = gen_fd_laplacian(10)
+        sys_ = LtiSystem(a=fd.a, b=np.zeros_like(fd.b), c=fd.c)
+        res_p, res_q = _gramian_pair(sys_, BT_ADI)
+        assert res_p.converged and res_p.z.columns == 0
+        ref = lr_adi(LyapunovSpec(sys_, "T"), BT_ADI)
+        np.testing.assert_array_equal(res_q.z.z, ref.z.z)
+        with pytest.raises(ValueError, match="empty Gramian factor"):
+            balanced_truncation(sys_, order=2)
+
+    def test_zero_c_leaves_q_empty(self):
+        fd = gen_fd_laplacian(10)
+        sys_ = LtiSystem(a=fd.a, b=fd.b, c=np.zeros_like(fd.c))
+        res_p, res_q = _gramian_pair(sys_, BT_ADI)
+        ref = lr_adi(LyapunovSpec(sys_, "N"), BT_ADI)
+        np.testing.assert_array_equal(res_p.z.z, ref.z.z)
+        assert res_q.converged and res_q.z.columns == 0
+
+    def test_q_converged_first_stops_stepping(self):
+        # Q sees only the decoupled state at -1, which P's shifts resolve
+        # long before the wide rest of the spectrum
+        n = 41
+        c = np.zeros((1, n))
+        c[0, 0] = 1.0
+        sys_ = LtiSystem(a=np.diag(np.r_[-1.0, -np.logspace(0.5, 6, n - 1)]),
+                         b=np.ones((n, 1)), c=c)
+        res_p, res_q = _gramian_pair(sys_, BT_ADI)
+        k = len(res_q.shifts_used)
+        assert res_p.converged and res_q.converged
+        assert k < len(res_p.shifts_used)
+        np.testing.assert_array_equal(res_q.shifts_used.values,
+                                      res_p.shifts_used.values[:k])
+        assert q_residual(sys_, res_q) <= 1e-10
+
+    def test_shift_pool_serves_both_sides(self, rng, lu_count):
+        pool = [-30.0 + 10.0j, -30.0 - 10.0j, -80.0, -200.0, -500.0]
+        opts = AdiOptions(shifts=pool, rel_tolerance=1e-10)
+        fd = gen_fd_laplacian(10)
+        # three outputs: Q needs more steps than P
+        sys_ = LtiSystem(a=fd.a, b=fd.b, c=rng.standard_normal((3, 100)))
+        start = lu_count()
+        res_p, res_q = _gramian_pair(sys_, opts)
+        assert lu_count() - start == 4
+        ref = lr_adi(LyapunovSpec(gen_fd_laplacian(10), "N"), opts)
+        np.testing.assert_array_equal(res_p.z.z, ref.z.z)
+        assert len(res_q.shifts_used) > len(res_p.shifts_used)
+        assert set(res_q.shifts_used.values) <= set(np.array(pool))
+        assert q_residual(sys_, res_q) <= 1e-10
+
+    def test_p_out_of_iterations_names_controllability(self):
+        with pytest.raises(SolverError,
+                           match="controllability Gramian ADI did not"):
+            balanced_truncation(gen_fd_laplacian(10), order=2,
+                                adi_options=AdiOptions(max_iterations=3))
+
+    def test_q_out_of_iterations_names_observability(self):
+        res_p, res_q = _gramian_pair(thermal_sample(), BT_ADI)
+        budget = len(res_p.shifts_used)
+        assert len(res_q.shifts_used) > budget
+        with pytest.raises(SolverError,
+                           match="observability Gramian ADI did not"):
+            balanced_truncation(thermal_sample(), order=2,
+                                adi_options=AdiOptions(max_iterations=budget,
+                                                       rel_tolerance=1e-10))
 
 
 class TestIrka:
