@@ -129,7 +129,7 @@ def cmd_gen_bench(args, matrices):
 
 
 def cmd_equation(args, system):
-    """``lyap`` (LR-ADI) and ``care`` (low-rank Newton)."""
+    """``lyap`` (LR-ADI) and ``care`` (low-rank RADI)."""
     if args.command == "lyap":
         result = lr_adi(LyapunovSpec(system, args.side),
                         AdiOptions(rel_tolerance=args.tol))
@@ -140,7 +140,7 @@ def cmd_equation(args, system):
                            NewtonOptions(rel_tolerance=args.tol))
         history = result.newton_residuals
         factors = {"Z": result.z.z, "K": result.k}
-        steps, method = f"{len(history) - 1} Newton steps", "Newton"
+        steps, method = f"{len(history) - 1} RADI steps", "RADI"
     final = history[-1] if history else 0.0
     print(f"final relative residual: {final:.6e} after {steps} "
           f"(converged: {result.converged})")
@@ -150,7 +150,6 @@ def cmd_equation(args, system):
                          f"tolerance: {args.tol:g}",
                          f"converged: {result.converged}",
                          f"factor columns: {result.z.columns}",
-                         ("newton " if method == "Newton" else "") +
                          "relative residual history:"] +
                   [f"  {i + 1:4d}  {r:.6e}" for i, r in enumerate(history)])
     if not result.converged:
@@ -273,7 +272,7 @@ def build_parser():
 
     for name, help, tol, side in (
             ("lyap", "solve a Lyapunov equation by LR-ADI", 1e-10, "N"),
-            ("care", "solve a Riccati equation by low-rank Kleinman-Newton",
+            ("care", "solve a Riccati equation by low-rank RADI",
              1e-9, "T")):
         p = _command(sub, name, help, cmd_equation, _fd_or_files, _PLAIN)
         p.add_argument("--tol", type=float, default=tol)

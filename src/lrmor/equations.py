@@ -113,7 +113,8 @@ def _swap_block(k):
 
 
 def _sym_eig_norm(f, signs):
-    """max |eig| of F S F^T via a thin QR of F.
+    """max |eig| of F S F^T via the R factor of a thin QR of F (Q is never
+    formed).
 
     ``signs`` holds (block_width, sign_block) pairs describing the small
     symmetric middle matrix S; the norm of F S F^T equals the largest
@@ -121,7 +122,7 @@ def _sym_eig_norm(f, signs):
     """
     if f.shape[1] == 0:
         return 0.0
-    _, r = np.linalg.qr(f)
+    r = np.linalg.qr(f, mode="r")
     s = np.zeros((f.shape[1], f.shape[1]))
     off = 0
     for width, block in signs:

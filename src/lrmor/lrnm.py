@@ -1,20 +1,21 @@
-"""Low-rank Kleinman-Newton iteration for algebraic Riccati equations.
+"""Low-rank RADI iteration for algebraic Riccati equations.
 
-Each Newton step solves the Lyapunov step equation
+RADI (Benner, Bujanovic, Kuerschner and Saak, Numer. Math. 138, 2018; the
+``mess_lrradi`` of M-M.E.S.S.) solves the observability side with one
+linear solve per shift and no inner iteration.  From R = C^T, K = 0 and an
+empty Z, each shift s does, with A the effective A + U V^T,
 
-    (A - B K)^T X E + E^T X (A - B K) = -[C; K]^T [C; K]
+    V = sqrt(-2 Re s) (A^T - K B^T + s E^T)^{-1} R
+    Y = I - (V^H B)(V^H B)^H / (2 Re s)
+    R += sqrt(-2 Re s) E^T V Y^{-1},  K += E^T V Y^{-1} V^H B,
+    Z gains V Y^{-1/2}
 
-by LR-ADI, with the closed-loop coefficient expressed as the low-rank update
-A + (-B) K^T -- it is never formed.  The observability side ("T") is native;
-the controllability side is handled on the transposed realization.  An
-Armijo-type backtracking line search on the factored Riccati residual guards
-against residual growth of a full step.
-
-Every step system shares the sparse pencil (A, E) and its LU cache with the
-Riccati system, since the feedback only enters the update.  By default one
-heuristic shift pool of that pencil is computed once and cycled by every
-step's LR-ADI (as M-M.E.S.S. reuses its shifts), so each shift is factorized
-once for the whole iteration instead of once per step.
+The residual at Q = Z Z^T is exactly R R^T, so the monitor ||R^T R|| /
+||C C^T|| is the true residual.  [R, K] is solved in one sweep on the
+pencil's cached LU of A + sE, then -K B^T by an m x m Woodbury step.  A
+conjugate pair takes one complex solve: the conjugate shift's block is
+V P + conj(V) (I - P) for a p x p matrix P, so the pair updates R, K and Z
+on the real basis [Re V, Im V].  Side "N" runs on the transposed system.
 """
 
 from __future__ import annotations
@@ -23,32 +24,24 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
-from .equations import (LowRankFactor, LyapunovSpec, RiccatiSpec,
+from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
                         riccati_residual, spectral_norm, stability_check)
-from .errors import SolverError
-from .lradi import AdiOptions, lr_adi, shift_pool
+from .errors import SingularOperatorError, SolverError
+from .lradi import AdiOptions, _schedule, shift_pool
 from .operators import OperatorSet
-from .system import LtiSystem
-
-_MAX_HALVINGS = 8
 
 
 @dataclass
 class NewtonOptions:
-    """Options of :func:`lr_newton`.
+    """Options of :func:`lr_newton`: ``inner`` gives the shifts and the step
+    budget ``inner.max_iterations``, not the tolerance.  By default one pool
+    of ``max(shift_batch, 10)`` heuristic shifts of the pencil is cycled,
+    one LU per shift; ``shift_strategy="projection"`` takes projection
+    shifts of the latest solve blocks instead."""
 
-    ``inner`` configures every step's LR-ADI; its tolerance is replaced by
-    the forcing term.  With the default heuristic strategy and no
-    ``shifts``, one pool of ``max(shift_batch, 10)`` heuristic shifts of
-    the open-loop pencil serves every step, and the pencil's LU cache keeps
-    one factorization per pool shift.  ``shift_strategy="projection"``
-    takes fresh projection shifts in every step instead, which factorizes
-    anew in every step.
-    """
-
-    max_newton_steps: int = 30
-    rel_tolerance: float = 1e-9
+    rel_tolerance: float = 1e-10
     inner: AdiOptions = field(
         default_factory=lambda: AdiOptions(shift_strategy="heuristic"))
 
@@ -65,93 +58,95 @@ class NewtonResult:
     converged: bool
 
 
-def _feedback(ops: OperatorSet, b, z):
-    # K = B^T (Z Z^T) E, assembled thin
-    ez = ops.mul_e("T", z)
-    return (b.T @ z) @ ez.T
+def _closed_loop_solve(ops: OperatorSet, s, r, k, b):
+    # (A^T - K B^T + s E^T)^{-1} R: M^{-1} [R, K] in one sweep for M the
+    # pencil's A^T + s E^T, then Woodbury for -K B^T
+    x = ops.sol_ape("T", s, "T", np.hstack([r, k]))
+    y, xk = x[:, :r.shape[1]], x[:, r.shape[1]:]
+    try:
+        return y + xk @ np.linalg.solve(np.eye(b.shape[1]) - b.T @ xk,
+                                        b.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError(
+            f"shift {s} is an eigenvalue of the closed loop") from exc
+
+
+def _update(s, width, u, b):
+    """The step on the real basis ``u`` (V, or [Re V, Im V] for a conjugate
+    pair): R and K gain E^T u [C_R, C_K], and Z gains u L."""
+    q, p = u.shape[1], u.shape[1] // width
+    eye, ub = np.eye(p), u.T @ b
+    ts = [eye]
+    if width == 2:
+        # V = u T1; putting V P + conj(V) (I - P) into the conjugate shift's
+        # solve leaves a p x p equation for P, so that solve is never made
+        t1 = np.vstack([eye, 1j * eye])
+        w1 = t1.conj().T @ ub
+        lhs = -2j * s.imag * eye - np.conj(s) / s.real * w1 @ w1.conj().T \
+            + w1 @ w1.T
+        pp = np.linalg.solve(lhs, -2.0 * s.real * eye + w1 @ w1.T)
+        ts = [t1, np.vstack([eye, 1j * (2.0 * pp - eye)])]
+    coef = 0.0
+    for t in ts:
+        w = t.conj().T @ ub
+        y = eye - w @ w.conj().T / (2.0 * s.real)
+        coef = coef + t @ np.linalg.solve(
+            y, np.hstack([np.sqrt(-2.0 * s.real) * eye, w, t.conj().T]))
+    lam, vecs = la.eigh(coef[:, -q:].real)
+    return coef[:, :-q].real, vecs * np.sqrt(np.maximum(lam, 0.0))
 
 
 def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
               ) -> NewtonResult:
-    """Solve the Riccati equation of ``spec`` for Q ~ Z Z^T and the feedback
-    K = B^T Q E (side "T"; the dual side returns K = C P E^T).
+    """Solve the Riccati equation of ``spec`` by RADI for Q ~ Z Z^T and the
+    feedback K = B^T Q E (side "T"; the dual side returns K = C P E^T).
 
-    Starts from K_0 = 0, which requires a stable pencil.  Inner ADI
-    tolerances follow the Newton residual (forcing term
-    ``min(0.1, 0.9 * previous residual)``, floored at the configured inner
-    tolerance), so early steps are solved loosely.
+    ``newton_residuals`` holds the relative residual before the first step
+    and after each shift (a conjugate pair records its residual twice); the
+    last entry, and ``converged``, come from :func:`riccati_residual` of the
+    returned factor.  Running out of steps returns the partial factor with
+    ``converged=False``; a residual that is not finite or exceeds 1/eps
+    raises :class:`SolverError`.
     """
-    if opts is None:
-        opts = NewtonOptions()
+    opts = opts or NewtonOptions()
     if spec.side == "N":
-        dual = RiccatiSpec(spec.system.transposed(), side="T")
-        res = lr_newton(dual, opts)
-        return res
-
+        return lr_newton(RiccatiSpec(spec.system.transposed(), "T"), opts)
     system = spec.system
     ops = OperatorSet(system)
-    n = ops.size()
-    b, c = system.b, system.c
-    ref = spectral_norm(c) ** 2
-    if ref == 0.0:
-        return NewtonResult(LowRankFactor.empty(n), np.zeros((b.shape[1], n)),
-                            [0.0], True)
+    n, b = ops.size(), system.b
+    r, k = constant_term_factor(system, "T"), np.zeros((n, b.shape[1]))
+    c_norm = spectral_norm(r)
+    if c_norm == 0.0:
+        return NewtonResult(LowRankFactor.empty(n), k.T, [0.0], True)
 
     pool = shift_pool(ops, opts.inner)
-    inner_opts = dataclasses.replace(opts.inner, shifts=pool)
-    z = LowRankFactor.empty(n)
-    k = np.zeros((b.shape[1], n))
-    prev_res = riccati_residual(spec, z).relative
-    residuals = [prev_res]
-    converged = False
+    inner = dataclasses.replace(opts.inner, shifts=pool)
+    schedule, block = _schedule(ops, inner, r), None
+    zblocks, residuals, it = [], [1.0], 0
     # the pencil keeps every pool shift (and A, E) for the whole iteration
     with system.lu_cache.holding(0 if pool is None else len(pool) + 2):
-        for _ in range(opts.max_newton_steps):
-            # inexact forcing: the inner Lyapunov residual must undercut the
-            # current Riccati residual, measured against the step equation's
-            # own constant term ||[C; K]||^2
-            forcing = min(0.1, 0.9 * prev_res)
-            g_norm = spectral_norm(np.vstack([c, k])) ** 2
-            inner_tol = max(forcing * prev_res * ref / g_norm,
-                            inner_opts.rel_tolerance)
-            u_step = -b
-            v_step = k.T
-            if system.have_uv:
-                u_step = np.hstack([system.u, u_step])
-                v_step = np.hstack([system.v, v_step])
-            step_sys = LtiSystem(a=system.a, b=b, c=np.vstack([c, k]),
-                                 e=system.e,
-                                 d=np.zeros((c.shape[0] + k.shape[0],
-                                             b.shape[1])),
-                                 u=u_step, v=v_step, lu_cache=system.lu_cache)
-            inner = lr_adi(LyapunovSpec(step_sys, side="T"),
-                           dataclasses.replace(inner_opts,
-                                               rel_tolerance=inner_tol))
-            if not inner.converged:
+        while residuals[-1] > opts.rel_tolerance \
+                and it < inner.max_iterations:
+            s, width = schedule.send(block)
+            v = np.sqrt(-2.0 * s.real) * _closed_loop_solve(
+                ops, s.real if width == 1 else s, r, k, b)
+            block = v if width == 1 else np.hstack([v.real, v.imag])
+            coef, zfac = _update(s, width, block, b)
+            update = ops.mul_e("T", block) @ coef
+            r, k = r + update[:, :r.shape[1]], k + update[:, r.shape[1]:]
+            zblocks.append(block @ zfac)
+            it += width
+            ratio = spectral_norm(r) / c_norm if np.isfinite(r).all() \
+                else np.inf
+            if not ratio <= np.finfo(float).eps ** -0.5:
                 raise SolverError(
-                    "inner ADI did not converge within its iteration budget")
-            cand = inner.z
-            cand_res = riccati_residual(spec, cand).relative
-            if cand_res > prev_res * (1.0 + 1e-12):
-                accepted, accepted_res = cand, cand_res
-                lam = 1.0
-                for _ in range(_MAX_HALVINGS):
-                    lam *= 0.5
-                    blend = LowRankFactor(np.hstack([
-                        np.sqrt(1.0 - lam) * z.z, np.sqrt(lam) * cand.z]))
-                    blend_res = riccati_residual(spec, blend).relative
-                    if blend_res < accepted_res:
-                        accepted, accepted_res = blend, blend_res
-                    if blend_res < prev_res:
-                        break
-                cand, cand_res = accepted, accepted_res
-            z, prev_res = cand, cand_res
-            k = _feedback(ops, b, z.z)
-            residuals.append(prev_res)
-            if prev_res <= opts.rel_tolerance:
-                converged = True
-                break
-    return NewtonResult(z, k, residuals, converged)
+                    f"RADI diverged: the residual exceeds 1/eps or is not "
+                    f"finite after {it} steps (is the pencil unstable?)")
+            residuals.extend([ratio ** 2] * width)
+    z = LowRankFactor(np.hstack(zblocks) if zblocks else np.zeros((n, 0)))
+    residuals[-1] = riccati_residual(spec, z).relative
+    return NewtonResult(z, k.T, residuals,
+                        residuals[-1] <= opts.rel_tolerance)
 
 
 def closed_loop_check(spec: RiccatiSpec, k: np.ndarray) -> bool:

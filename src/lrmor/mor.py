@@ -64,6 +64,11 @@ class Rom:
 
 @dataclass
 class HsvReport:
+    """Hankel singular values and the truncation's a-priori H-infinity
+    error bound.  The bound is only as tight as the Gramians it comes from:
+    at balanced truncation's 1e-10 residuals it can fall short of the true
+    error by about 1e-8 sigma_1 when ``tol`` is 1e-4 sigma_1 or below."""
+
     singular_values: np.ndarray  # descending
     chosen_order: int
     error_bound: float  # 2 * sum of truncated values
@@ -394,7 +399,7 @@ def lqg_transform(system: LtiSystem) -> BalancingTransform:
 
     R^T R = I + D D^T, L^T L = I + D^T D; Btilde = B L^{-1},
     Ctilde = R^{-T} C, U = -B D^T, V^T = (I + D D^T)^{-1} C.  The rewritten
-    equation is a standard Riccati equation solvable by the low-rank Newton
+    equation is a standard Riccati equation solvable by the low-rank RADI
     iteration with Woodbury-routed solves.
     """
     return _dd_transform(system, "lqg", +1)

@@ -8,10 +8,10 @@ when it is built.
 
 The LUs belong to the (A, E) pencil, not to the set: every
 :class:`~lrmor.system.LtiSystem` carries a :class:`LuCache`, which
-``with_update`` and Newton's step systems pass on, so every set over the same
-sparse ``a``/``e`` shares one factorization per shift.  The cache keeps at
-most ``MAX_LUS`` LUs and drops the least recently used one beyond that;
-Newton raises the bound to hold its whole shift pool.
+``with_update`` passes on, so every set over the same sparse ``a``/``e``
+shares one factorization per shift.  The cache keeps at most ``MAX_LUS`` LUs
+and drops the least recently used one beyond that; the Riccati solver raises
+the bound to hold its whole shift pool.
 
 "A" always means the effective coefficient A + U V^T of a system that carries
 a low-rank update: every multiply applies the update factored, and every
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # system.py imports this module
 _TRANS = ("N", "T")
 
 # LUs one pencil keeps: a default heuristic pool of 10 shifts plus A and E,
-# so a Newton iteration cycling that pool never refactorizes
+# so a Riccati iteration cycling that pool never refactorizes
 MAX_LUS = 12
 
 # SuperLU supernode relaxation and panel size: column-wise LUs (see the

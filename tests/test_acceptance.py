@@ -64,7 +64,7 @@ def test_criterion_2_riccati_oracle_equivalence(fd100):
     assert closed_loop_check(spec, res.k)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _report(2, f"Kleinman-Newton vs dense oracle at n=100: residual "
+    _report(2, f"low-rank RADI vs dense oracle at n=100: residual "
                f"{res.newton_residuals[-1]:.2e} (<= 1e-9), error {err:.2e} "
                f"(<= 1e-6), closed loop stable, {elapsed:.1f}s (< 30s)")
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lrmor import (AdiOptions, LtiSystem, NewtonOptions, OperatorSet,
-                   RiccatiSpec, SolverError, closed_loop_check,
-                   dense_are_solve, gen_fd_laplacian, lqg_transform, lr_adi,
+from lrmor import (AdiOptions, LowRankFactor, LtiSystem, NewtonOptions,
+                   OperatorSet, RiccatiSpec, SolverError, closed_loop_check,
+                   dense_are_solve, gen_fd_laplacian, lqg_transform,
                    lr_newton, riccati_residual)
 from lrmor.lradi import shift_pool
 from lrmor.operators import MAX_LUS
@@ -53,23 +53,37 @@ class TestLrNewton:
         assert err <= 1e-6 * np.linalg.norm(p_ref, 2)
 
     def test_unstable_pencil_divergence_raises_solver_error(self):
-        # K_0 = 0 cannot start from an unstable pencil: the first step's
-        # LR-ADI diverges and must say so instead of leaking OverflowError
+        # from K = 0 the stable shifts of an unstable pencil blow the
+        # residual up, and the solver must say so instead of leaking
+        # OverflowError
         with pytest.raises(SolverError, match="diverged"):
             lr_newton(RiccatiSpec(unstable_fd_system(), "T"))
 
-    def test_residuals_non_increasing_with_line_search(self, rng):
+    def test_residuals_non_increasing(self, rng):
         sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)
         res = lr_newton(RiccatiSpec(sys_, "T"))
         hist = res.newton_residuals
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev * (1.0 + 1e-12)
 
-    def test_final_residual_consistent(self, fd7):
-        spec = RiccatiSpec(fd7, "T")
+    @pytest.mark.parametrize("grid", [7, 14])
+    def test_monitor_is_the_true_residual_at_every_step(self, grid):
+        # real pool: step j's factor is the first j columns (p = 1)
+        spec = RiccatiSpec(gen_fd_laplacian(grid), "T")
         res = lr_newton(spec)
-        direct = riccati_residual(spec, res.z).relative
-        assert direct == pytest.approx(res.newton_residuals[-1], rel=1e-6)
+        for j, monitor in enumerate(res.newton_residuals):
+            true = riccati_residual(
+                spec, LowRankFactor(res.z.z[:, :j])).relative
+            assert true == pytest.approx(monitor, rel=1e-6, abs=1e-13)
+
+    def test_final_residual_consistent(self, fd7, rng):
+        for spec in (RiccatiSpec(fd7, "T"),
+                     RiccatiSpec(random_stable_system(rng, 12, m=2, p=3,
+                                                      with_e=True), "T")):
+            res = lr_newton(spec)
+            assert res.converged
+            direct = riccati_residual(spec, res.z).relative
+            assert res.newton_residuals[-1] == direct
 
     def test_solution_psd(self, rng):
         sys_ = random_stable_system(rng, 10, m=1, p=1, symmetric=True)
@@ -79,14 +93,22 @@ class TestLrNewton:
 
     def test_max_steps_returns_unconverged(self, fd7):
         res = lr_newton(RiccatiSpec(fd7, "T"),
-                        NewtonOptions(max_newton_steps=1,
-                                      rel_tolerance=1e-14))
+                        NewtonOptions(rel_tolerance=1e-14,
+                                      inner=AdiOptions(
+                                          shift_strategy="heuristic",
+                                          max_iterations=1)))
         assert not res.converged
 
-    def test_inner_failure_raises(self, fd7):
-        opts = NewtonOptions(inner=AdiOptions(max_iterations=2))
-        with pytest.raises(SolverError, match="inner ADI"):
-            lr_newton(RiccatiSpec(fd7, "T"), opts)
+    def test_step_budget_exhausted_returns_unconverged(self, fd7):
+        spec = RiccatiSpec(fd7, "T")
+        opts = NewtonOptions(inner=AdiOptions(shift_strategy="heuristic",
+                                              max_iterations=2))
+        res = lr_newton(spec, opts)
+        assert not res.converged
+        assert len(res.newton_residuals) == 3
+        assert res.z.columns == 2
+        assert res.newton_residuals[-1] == \
+            riccati_residual(spec, res.z).relative > opts.rel_tolerance
 
     def test_lqg_tilde_system_with_feedthrough(self, rng):
         # the transformed equation is a standard Riccati equation with a
@@ -104,7 +126,7 @@ class TestLrNewton:
 
     def test_one_shift_pool_factorizes_once_per_shift(self, lu_count):
         # bound: the heuristic pool (max(shift_batch, 10) = 10 shifts) plus
-        # A and E, however many Newton steps run; grid 14 (n = 196) is the
+        # A and E, however many RADI steps run; grid 14 (n = 196) is the
         # largest FD model the dense oracle accepts
         fd14 = gen_fd_laplacian(14)
         res = lr_newton(RiccatiSpec(fd14, "T"))
@@ -119,7 +141,7 @@ class TestLrNewton:
                                                     monkeypatch):
         # bound: a pool of 14 shifts (more than MAX_LUS holds with A and E)
         # still factorizes once per shift, and clearing the cache before
-        # every step changes no bit of the result
+        # every shifted solve changes no bit of the result
         opts = NewtonOptions(inner=AdiOptions(shift_strategy="heuristic",
                                               shift_batch=14))
         fd30 = gen_fd_laplacian(30)
@@ -131,13 +153,40 @@ class TestLrNewton:
         assert lu_count() <= made + len(pool) + 2
         assert len(fd30.lu_cache) <= MAX_LUS
 
-        def clearing(spec, inner):
-            spec.system.lu_cache.clear()
-            return lr_adi(spec, inner)
+        sol_ape = OperatorSet.sol_ape
 
-        monkeypatch.setattr("lrmor.lrnm.lr_adi", clearing)
+        def clearing(ops, *args):
+            ops.system.lu_cache.clear()
+            return sol_ape(ops, *args)
+
+        monkeypatch.setattr(OperatorSet, "sol_ape", clearing)
         cleared = lr_newton(RiccatiSpec(gen_fd_laplacian(30), "T"), opts)
         np.testing.assert_array_equal(res.z.z, cleared.z.z)
+
+    def test_conjugate_pair_takes_one_complex_lu_and_stays_real(
+            self, rng, lu_count):
+        sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)
+        pool = [-1.0 + 2.0j, -1.0 - 2.0j, -3.0]
+        res = lr_newton(RiccatiSpec(sys_, "T"),
+                        NewtonOptions(inner=AdiOptions(shifts=pool)))
+        assert res.converged
+        # the pool's two LUs: one complex for the pair, one real
+        assert lu_count() == 2
+        assert np.isrealobj(res.z.z) and np.isrealobj(res.k)
+        assert res.z.columns == 2 * (len(res.newton_residuals) - 1)
+        q_ref = dense_are_solve(sys_.e, sys_.a, sys_.b, sys_.c)
+        err = np.linalg.norm(res.z.dense() - q_ref, 2)
+        assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+        np.testing.assert_allclose(res.k, sys_.b.T @ q_ref @ sys_.dense_e(),
+                                   atol=1e-6 * np.linalg.norm(q_ref, 2))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_fd_model_gains_p_columns_per_real_step(self, p):
+        fd = gen_fd_laplacian(14)
+        c = np.vstack([fd.c, np.roll(fd.c, 3)])[:p]
+        res = lr_newton(RiccatiSpec(LtiSystem(a=fd.a, b=fd.b, c=c), "T"))
+        assert res.converged
+        assert res.z.columns == p * (len(res.newton_residuals) - 1)
 
     def test_projection_strategy_still_converges(self, fd7):
         res = lr_newton(RiccatiSpec(fd7, "T"),

@@ -47,6 +47,18 @@ def test_newton_with_shift_pool_matches_dense_oracle(seed, n, m, p, with_e,
     assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
 
 
+def test_riccati_regression_example_matches_dense_oracle():
+    # an inexact Kleinman-Newton iteration from K = 0 put a closed-loop
+    # eigenvalue at +0.162 after its first step on this system and failed
+    sys_ = _stable_system(2641, 7, 1, 1, False, 0)
+    res = lr_newton(RiccatiSpec(sys_, "T"))
+    assert res.converged
+    assert res.newton_residuals[-1] <= 1e-9
+    q_ref = dense_are_solve(sys_.e, sys_.dense_a_eff(), sys_.b, sys_.c)
+    err = np.linalg.norm(res.z.dense() - q_ref, 2)
+    assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+
+
 def _sparse_stable_system(seed, n, m, with_e, k):
     """Like :func:`_stable_system`, but A is sparse on a random, structurally
     non-symmetric pattern (the update is not formed into it) and E, if any,
