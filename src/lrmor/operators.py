@@ -151,6 +151,16 @@ class LuCache(OrderedDict):
             return lu, None
         return lu, order[1]
 
+    def nearest(self, p, mixed, rel):
+        """The key of the cached LU of A + qE (A + qE^T when ``mixed``)
+        whose shift q is nearest to ``p`` among those of p's kind, real or
+        complex, if |p - q| <= rel |p|, else ``None``.  Makes and reorders
+        no LU."""
+        near = [key for key in self if key[0] == "ApE" and key[2] == mixed
+                and isinstance(key[1], complex) == isinstance(p, complex)
+                and abs(p - key[1]) <= rel * abs(p)]
+        return min(near, key=lambda key: abs(p - key[1]), default=None)
+
     def _factorize(self, key):
         if key[0] == "E":
             return _splu(self.e.tocsc(), "MMD_AT_PLUS_A")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
                    heuristic_shifts, irka, lqg_transform, lr_adi, lr_newton,
                    lyap_residual, pr_transform, project, spsd_factor,
                    square_root_method, stability_check, transfer_eval)
+from lrmor import mor
 from lrmor.lradi import _gramian_pair
 from referees import transformed_residual, variant_residual
 
@@ -30,6 +32,17 @@ def assert_stacks_scalar_calls(transfer, shape):
         assert h.shape == (len(points),) + shape
         np.testing.assert_array_equal(h, np.stack([transfer(s)
                                                    for s in points]))
+
+
+def assert_fields_identical(x, y):
+    """Every field of the dataclasses ``x`` and ``y`` equal bit for bit,
+    nested dataclasses field by field."""
+    for f in dataclasses.fields(x):
+        a, b = getattr(x, f.name), getattr(y, f.name)
+        if dataclasses.is_dataclass(a):
+            assert_fields_identical(a, b)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
 def sampled_h_error(sys_, rom, omegas):
@@ -423,6 +436,35 @@ class TestIrka:
             assert np.linalg.norm(h_u - h_f) <= 1e-10 * np.linalg.norm(h_f)
         assert close(heuristic_shifts(OperatorSet(updated)).values,
                      heuristic_shifts(OperatorSet(formed)).values)
+
+    def test_settled_shifts_reuse_nearby_lus(self, lu_count):
+        # one conjugate pair and six real shifts: 7 LUs per iteration
+        # without the refined solves
+        res = irka(gen_fd_laplacian(30), 8)
+        assert res.converged
+        assert lu_count() < 7 * res.n_iter / 2
+
+    def test_uncorrected_solves_fall_back_to_exact_lus(self, monkeypatch):
+        monkeypatch.setattr(mor, "_NEAR_SHIFT", 0.0)
+        exact = irka(gen_fd_laplacian(30), 8)
+        monkeypatch.undo()
+        monkeypatch.setattr(mor, "_MAX_CORRECTIONS", 0)
+        capped = irka(gen_fd_laplacian(30), 8)
+        assert_fields_identical(capped, exact)
+
+    @pytest.mark.parametrize("shift", [2.0, 2.0 + 3.0j])
+    def test_near_shift_solve_makes_no_lu(self, fd10, rng, lu_count, shift):
+        # a pencil of its own: fd10's LU cache is shared between tests
+        ops = OperatorSet(LtiSystem(a=fd10.a, b=fd10.b, c=fd10.c))
+        b = rng.standard_normal(fd10.order)
+        ops.sol_ape("N", -shift, "N", b)
+        start = lu_count()
+        near = shift * (1.0 + 1e-3)
+        m = fd10.dense_a_eff() - near * fd10.dense_e()
+        for tr, mat in (("N", m), ("T", m.T)):
+            x = mor._shifted_solve(ops, tr, near, b)
+            assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert lu_count() == start
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

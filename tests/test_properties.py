@@ -9,7 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from lrmor import (AdiOptions, LtiSystem, LyapunovSpec,  # noqa: E402
                    RiccatiSpec, balanced_truncation, dense_are_solve,
-                   dense_lyap_solve, lr_adi, lr_newton)
+                   dense_lyap_solve, irka, lr_adi, lr_newton)
 
 
 def _stable_system(seed, n, m, p, with_e, k):
@@ -136,3 +136,36 @@ def test_balanced_truncation_matches_dense_referee(seed, n, m, p, with_e, k,
     # and LR-ADI underestimates them (Z Z^T <= P): at tolerances near
     # 1e-4 sigma_1 a nearly tight bound can fall short by that much
     assert err <= rep.error_bound + 1e-8
+
+
+def _hermite_gaps(e, a, b, c, rom, s, b_dir, c_dir):
+    """Relative gaps of the right, left and bitangential-derivative
+    conditions H(s) b = Hr(s) b, c^T H(s) = c^T Hr(s) and
+    c^T H'(s) b = c^T Hr'(s) b between (E, A, B, C) and ``rom``; the
+    derivative's gap is scaled by ||c^T C (sE - A)^{-1}|| ||E x||."""
+    values = []
+    for ee, aa, bb, cc in ((e, a, b, c), (rom.e, rom.a, rom.b, rom.c)):
+        x = np.linalg.solve(s * ee - aa, bb @ b_dir)
+        y = np.linalg.solve((s * ee - aa).T, cc.T @ c_dir)
+        values.append((cc @ x, bb.T @ y, -y @ ee @ x,
+                       np.linalg.norm(y) * np.linalg.norm(ee @ x)))
+    (right, left, deriv, scale), (right_r, left_r, deriv_r, _) = values
+    return (np.linalg.norm(right - right_r) / np.linalg.norm(right),
+            np.linalg.norm(left - left_r) / np.linalg.norm(left),
+            abs(deriv - deriv_r) / scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 3), p=st.integers(1, 3), with_e=st.booleans(),
+       k=st.sampled_from([0, 2]), r=st.integers(1, 4))
+def test_irka_interpolates_at_its_shifts(seed, n, m, p, with_e, k, r):
+    # the ROM of every iterate interpolates at the shifts it was built
+    # from, converged or not, also where those solves were refined on the
+    # LU of a nearby shift
+    sys_ = _stable_system(seed, n, m, p, with_e, k)
+    res = irka(sys_, min(r, n))
+    a, e = sys_.dense_a_eff(), sys_.dense_e()
+    for s, b_dir, c_dir in zip(res.shifts, res.b_dirs, res.c_dirs):
+        gaps = _hermite_gaps(e, a, sys_.b, sys_.c, res.rom, s, b_dir, c_dir)
+        assert max(gaps) <= 1e-8, (s, gaps)
