@@ -11,8 +11,9 @@ empty Z, each shift s does, with A the effective A + U V^T,
     Z gains V Y^{-1/2}
 
 The residual at Q = Z Z^T is exactly R R^T, so the monitor ||R^T R|| /
-||C C^T|| is the true residual.  [R, K] is solved in one sweep on the
-pencil's cached LU of A + sE, then -K B^T by an m x m Woodbury step.  A
+||C C^T|| is the true residual.  The feedback is the low-rank update of the
+closed loop A + [U, -B] [V, K]^T, so each shift is one ``sol_ape`` on the
+pencil's cached LU of A + sE with one Woodbury step for the update.  A
 conjugate pair takes one complex solve: the conjugate shift's block is
 V P + conj(V) (I - P) for a p x p matrix P, so the pair updates R, K and Z
 on the real basis [Re V, Im V].  Side "N" runs on the transposed system.
@@ -28,7 +29,7 @@ import scipy.linalg as la
 
 from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
                         riccati_residual, spectral_norm, stability_check)
-from .errors import SingularOperatorError, SolverError
+from .errors import SolverError
 from .lradi import AdiOptions, _schedule, shift_pool
 from .operators import OperatorSet
 
@@ -56,19 +57,6 @@ class NewtonResult:
     k: np.ndarray
     newton_residuals: list
     converged: bool
-
-
-def _closed_loop_solve(ops: OperatorSet, s, r, k, b):
-    # (A^T - K B^T + s E^T)^{-1} R: M^{-1} [R, K] in one sweep for M the
-    # pencil's A^T + s E^T, then Woodbury for -K B^T
-    x = ops.sol_ape("T", s, "T", np.hstack([r, k]))
-    y, xk = x[:, :r.shape[1]], x[:, r.shape[1]:]
-    try:
-        return y + xk @ np.linalg.solve(np.eye(b.shape[1]) - b.T @ xk,
-                                        b.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(
-            f"shift {s} is an eigenvalue of the closed loop") from exc
 
 
 def _update(s, width, u, b):
@@ -114,7 +102,11 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
     system = spec.system
     ops = OperatorSet(system)
     n, b = ops.size(), system.b
-    r, k = constant_term_factor(system, "T"), np.zeros((n, b.shape[1]))
+    u, v = (system.u, system.v) if system.have_uv else (b[:, :0], b[:, :0])
+    loop = OperatorSet(system.with_update(np.hstack([u, -b]),
+                                          np.hstack([v, np.zeros_like(b)])))
+    # K is the closed loop's trailing m update columns, updated in place
+    r, k = constant_term_factor(system, "T"), loop.system.v[:, -b.shape[1]:]
     c_norm = spectral_norm(r)
     if c_norm == 0.0:
         return NewtonResult(LowRankFactor.empty(n), k.T, [0.0], True)
@@ -128,12 +120,13 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
         while residuals[-1] > opts.rel_tolerance \
                 and it < inner.max_iterations:
             s, width = schedule.send(block)
-            v = np.sqrt(-2.0 * s.real) * _closed_loop_solve(
-                ops, s.real if width == 1 else s, r, k, b)
+            v = np.sqrt(-2.0 * s.real) * loop.sol_ape(
+                "T", s.real if width == 1 else s, "T", r)
             block = v if width == 1 else np.hstack([v.real, v.imag])
             coef, zfac = _update(s, width, block, b)
             update = ops.mul_e("T", block) @ coef
-            r, k = r + update[:, :r.shape[1]], k + update[:, r.shape[1]:]
+            r = r + update[:, :r.shape[1]]
+            k += update[:, r.shape[1]:]
             zblocks.append(block @ zfac)
             it += width
             ratio = spectral_norm(r) / c_norm if np.isfinite(r).all() \

@@ -222,13 +222,14 @@ _MAX_CORRECTIONS = 8
 
 
 def _shifted_solve(ops, tr, shift, b):
-    """Solve (A - shift E)^tr x = b: refined on the LU of a nearby cached
-    shift when there is one and it converges, else on the shift's own LU."""
+    """Solve (A - shift E)^tr x = b: refined on the LU of the nearest cached
+    shift when there is one and it converges, else on the shift's own LU.
+    Every solve, reference or correction, is a ``sol_ape``."""
     p = complex(-shift)
-    p = p.real if p.imag == 0.0 else p  # the key sol_ape gives the shift
-    ref = ops._cache.nearest(p, False, _NEAR_SHIFT)
-    if ref is not None and ref[1] != p:
-        x, last = ops._woodbury(ref, tr, b), np.inf
+    p = p.real if p.imag == 0.0 else p  # the shift as the cache holds it
+    ref = ops.system.lu_cache.nearest(p, _NEAR_SHIFT)
+    if ref is not None and ref != p:
+        x, last = ops.sol_ape(tr, ref, tr, b), np.inf
         for k in range(_MAX_CORRECTIONS + 1):
             r = b - ops.mul_ape(tr, p, tr, x)
             norm = np.linalg.norm(r)
@@ -236,7 +237,7 @@ def _shifted_solve(ops, tr, shift, b):
                 return x
             if k == _MAX_CORRECTIONS or not norm < last:  # NaN: not <
                 break
-            x, last = x + ops._woodbury(ref, tr, r), norm
+            x, last = x + ops.sol_ape(tr, ref, tr, r), norm
     return ops.sol_ape(tr, p, tr, b)
 
 

@@ -15,9 +15,10 @@ the bound to hold its whole shift pool.
 
 "A" always means the effective coefficient A + U V^T of a system that carries
 a low-rank update: every multiply applies the update factored, and every
-solve with A or A + pE runs one Sherman-Morrison-Woodbury step on top of the
-cached LU of the sparse base matrix, so the updated matrix is never formed
-and never enters an LU.
+solve with A or A + pE solves [B, U] in one sweep on the cached LU of the
+sparse base matrix and finishes with one Sherman-Morrison-Woodbury step, so
+the updated matrix is never formed and never enters an LU.  A set keeps
+nothing between calls but its system and the cache reference.
 
 Fill-reducing ordering: the pattern work is done once per pencil.  The
 pencil's first LU of A or A + pE runs SuperLU's symmetric mode with a
@@ -75,15 +76,6 @@ def _check_trans(tr):
 
 def _complex_lu(key) -> bool:
     return key[0] == "ApE" and isinstance(key[1], complex)
-
-
-def _keep(cache, key, value, bound):
-    """Store ``value`` as the most recent entry of the ordered ``cache``,
-    dropping the least recent ones beyond ``bound``."""
-    cache[key] = value
-    while len(cache) > bound:
-        cache.popitem(last=False)
-    return value
 
 
 def _splu(m, permc_spec):
@@ -145,21 +137,23 @@ class LuCache(OrderedDict):
             except RuntimeError as exc:
                 raise SingularOperatorError(
                     f"factorization {key} failed: {exc}") from exc
-        _keep(self, key, lu, self.bound)
+        self[key] = lu
+        while len(self) > self.bound:
+            self.popitem(last=False)
         order = self._symbolic.get("order")
         if key[0] == "E" or order[0] == key:
             return lu, None
         return lu, order[1]
 
-    def nearest(self, p, mixed, rel):
-        """The key of the cached LU of A + qE (A + qE^T when ``mixed``)
-        whose shift q is nearest to ``p`` among those of p's kind, real or
-        complex, if |p - q| <= rel |p|, else ``None``.  Makes and reorders
-        no LU."""
-        near = [key for key in self if key[0] == "ApE" and key[2] == mixed
+    def nearest(self, p, rel):
+        """The shift q nearest to ``p`` among the cached LUs of A + qE of
+        p's kind, real (a float) or complex, if |p - q| <= rel |p|, else
+        ``None``; p itself when its own LU is cached.  Makes and reorders no
+        LU."""
+        near = [key[1] for key in self if key[0] == "ApE" and not key[2]
                 and isinstance(key[1], complex) == isinstance(p, complex)
                 and abs(p - key[1]) <= rel * abs(p)]
-        return min(near, key=lambda key: abs(p - key[1]), default=None)
+        return min(near, key=lambda q: abs(p - q), default=None)
 
     def _factorize(self, key):
         if key[0] == "E":
@@ -201,16 +195,13 @@ class OperatorSet:
     Every multiply and solve with A acts on A + U V^T when the system has the
     update (``mul_a``, ``mul_ape``, ``sol_a``, ``sol_ape``); only the sparse
     base matrices are factorized, into ``lus`` (the system's shared
-    ``lu_cache`` by default).  For each LU it solves with, the set keeps
-    the Woodbury data of its own update: M^{-1}U and the capacitance matrix,
-    for at most ``MAX_LUS`` (LU, transpose) pairs.  Results are identical
-    with a cold or warm cache.
+    ``lu_cache`` by default).  The set holds nothing else: each solve reads
+    the system's U and V as they are at the call.
     """
 
     def __init__(self, system: LtiSystem, lus: LuCache | None = None):
         self.system = system
         self._cache = system.lu_cache if lus is None else lus
-        self._woodbury_data = OrderedDict()
 
     def size(self) -> int:
         """Dimension n of the state space."""
@@ -273,28 +264,21 @@ class OperatorSet:
         # (M + u v^T)^{-1} b = y - M^{-1}u (I + v^T M^{-1}u)^{-1} v^T y for M
         # the matrix of LU ``key`` transposed per ``tr``, (u, v) = (U, V) for
         # "N" and (V, U) for "T"; plain M^{-1} b without an update or with
-        # k = 0.  The first solve with an LU solves [b, u] in one sweep and
-        # keeps M^{-1}u and the capacitance matrix for the later ones.
+        # k = 0.  [b, u] is solved in one sweep.
         sys_ = self.system
         if not sys_.have_uv or sys_.u.shape[1] == 0:
             return self._lu_solve(key, tr, b)
         u, v = (sys_.u, sys_.v) if tr == "N" else (sys_.v, sys_.u)
-        data = self._woodbury_data.pop((key, tr), None)
-        if data is None:
-            b = np.asarray(b)
-            x = self._lu_solve(key, tr, np.column_stack([b, u]))
-            k = x.shape[1] - u.shape[1]
-            y = x[:, 0] if b.ndim == 1 else x[:, :k]
-            mu = x[:, k:]
-            if not _complex_lu(key):
-                mu = mu.real  # exact: a complex b only made the stack complex
-            data = (mu, np.eye(u.shape[1]) + v.T @ mu)
-        else:
-            y = self._lu_solve(key, tr, b)
-        mu, cap = _keep(self._woodbury_data, (key, tr), data,
-                        self._cache.bound)
+        b = np.asarray(b)
+        x = self._lu_solve(key, tr, np.column_stack([b, u]))
+        k = x.shape[1] - u.shape[1]
+        y = x[:, 0] if b.ndim == 1 else x[:, :k]
+        mu = x[:, k:]
+        if not _complex_lu(key):
+            mu = mu.real  # exact: a complex b only made the stack complex
         try:
-            t = np.linalg.solve(cap, v.T @ (y if y.ndim == 2 else y[:, None]))
+            t = np.linalg.solve(np.eye(u.shape[1]) + v.T @ mu,
+                                v.T @ (y if y.ndim == 2 else y[:, None]))
         except np.linalg.LinAlgError as exc:
             raise SingularOperatorError("singular capacitance matrix") from exc
         corr = mu @ t

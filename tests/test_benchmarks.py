@@ -95,7 +95,5 @@ class TestThermalBlock:
         np.testing.assert_array_equal(p1.b_fn(1.0), p2.b_fn(1.0))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            BenchConfig(grid_size=10, coefficients=(1.0, 2.0, 3.0, 4.0))
         with pytest.raises(ValueError, match="positive"):
             BenchConfig(grid_size=10, mu_range=(0.0, 1.0))

@@ -629,9 +629,34 @@ class TestSharedLuCache:
         assert other.lu_cache.a is other.a
 
 
+class TestNearest:
+    """``LuCache.nearest`` finds a cached shift to refine on."""
+
+    def test_contract(self, lu_count):
+        sys_ = gen_fd_laplacian(6)
+        ops, cache = OperatorSet(sys_), sys_.lu_cache
+        assert cache.nearest(-1.0, 1e-2) is None
+        for p in (-1.0, -1.004, -1.0 + 1j, -10.0):
+            ops.sol_ape("N", p, "N", np.ones(36))
+        made, keys = lu_count(), list(cache)
+        q = cache.nearest(-1.003, 1e-2)
+        assert q == -1.004 and type(q) is float
+        # the exact shift wins over a cached neighbour
+        assert cache.nearest(-1.0, 1e-2) == -1.0
+        assert cache.nearest(-1.0 + 1.005j, 1e-2) == -1.0 + 1j
+        # real and complex shifts are kept apart
+        assert cache.nearest(-1.0 + 1e-3j, 1e-2) is None
+        assert cache.nearest(-1.0 + 1e-3j, 2.0) == -1.0 + 1j
+        # rel bounds the distance relative to |p|
+        assert cache.nearest(-9.95, 1e-3) is None
+        assert cache.nearest(-9.95, 1e-2) == -10.0
+        assert lu_count() == made and list(cache) == keys
+
+
 class TestWoodburyCache:
-    """Each set keeps M^{-1}U and the capacitance matrix per LU; results
-    are bit-identical to solving U anew at every call."""
+    """Each solve with an update solves [b, U] in one sweep on the pencil's
+    cached LU; results are bit-identical with and without cached LUs, and
+    the set keeps no solve data of its own."""
 
     @staticmethod
     def _solvers(sys_):
@@ -658,10 +683,27 @@ class TestWoodburyCache:
         for x, y in zip(cached, uncached):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("p", [-0.7, -0.7 + 2j])
+    def test_solves_read_the_current_update(self, rng, p):
+        # RADI grows its feedback in the V of one closed-loop set between
+        # solves, so a set must not keep M^{-1}U or the capacitance matrix
+        sys_ = gen_fd_laplacian(6).with_update(rng.standard_normal((36, 2)),
+                                               np.zeros((36, 2)))
+        ops = OperatorSet(sys_)
+        b = rng.standard_normal((36, 2))
+        for tr in ("N", "T"):
+            ops.sol_ape(tr, p, tr, b)
+        sys_.v[:] = rng.standard_normal((36, 2))
+        formed = sys_.dense_a_eff() + p * sys_.dense_e()
+        for tr in ("N", "T"):
+            x = ops.sol_ape(tr, p, tr, b)
+            ref = np.linalg.solve(formed if tr == "N" else formed.T, b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("p", [-0.8, -0.8 + 1.3j])
     def test_first_and_repeat_solves_match_dense(self, rng, p):
-        # the set keeps M^{-1}U per LU and transpose, made by whichever
-        # right-hand side comes first; a real solve stays real after it
+        # every right-hand side, first or repeated, solves U with it; a real
+        # solve stays real after a complex one
         sys_ = _rand_sys(rng, n=9, k=2)
         formed = sys_.dense_a_eff() + p * sys_.dense_e()
         rhs = (rng.standard_normal((9, 2)), rng.standard_normal(9),
