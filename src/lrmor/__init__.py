@@ -4,12 +4,11 @@
 from .benchmarks import BenchConfig, gen_fd_laplacian, gen_thermal_block_mini
 from .equations import (LowRankFactor, LyapunovSpec, ResidualReport,
                         RiccatiSpec, dense_are_solve, dense_lyap_solve,
-                        lyap_residual, riccati_residual, spsd_factor,
-                        stability_check)
+                        lyap_residual, riccati_residual, stability_check)
 from .errors import SingularOperatorError, SolverError
 from .lradi import (AdiOptions, AdiResult, ShiftSet, heuristic_shifts,
                     lr_adi, projection_shifts)
-from .lrnm import NewtonOptions, NewtonResult, closed_loop_check, lr_newton
+from .lrnm import NewtonOptions, NewtonResult, lr_newton
 from .mmio import load_system, read_dense, read_matrix, write_matrix
 from .mor import (BalancingTransform, HsvReport, IrkaOptions, IrkaResult,
                   Rom, balanced_truncation, br_transform, irka, lqg_transform,

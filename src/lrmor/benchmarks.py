@@ -3,8 +3,11 @@
 Both models discretize heat conduction on the unit square with a 5-point
 finite difference stencil and homogeneous Dirichlet boundaries, on a
 ``grid_size x grid_size`` interior grid with spacing h = 1/(grid_size+1).
-Generation is fully deterministic: identical configuration gives bitwise
-identical matrices.
+The matrices are assembled from index arrays over all nodes at once, in
+one sparse assembly each; they are bit-identical to those of a per-node
+loop (``tests/referees.py`` keeps that loop as the referee).  Generation is
+fully deterministic: identical configuration gives bitwise identical
+matrices.
 """
 
 from __future__ import annotations
@@ -34,32 +37,32 @@ class BenchConfig:
             raise ValueError("ranges must be positive for log spacing")
 
 
-def _node_index(ix, iy, g):
-    return iy * g + ix
-
-
 def _weighted_laplacian(g: int, kappa: np.ndarray,
                         boundary_kappa: float) -> sp.csr_matrix:
     """Graph Laplacian part W - D for edge weights arithmetically averaged
     from nodal coefficients; Dirichlet boundary edges use
-    ``boundary_kappa`` for the ghost side.  Unscaled (no 1/h^2)."""
-    rows, cols, vals = [], [], []
-    diag = np.zeros(g * g)
-    for iy in range(g):
-        for ix in range(g):
-            u = _node_index(ix, iy, g)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < g and 0 <= jy < g:
-                    w = 0.5 * (kappa[ix, iy] + kappa[jx, jy])
-                    rows.append(u)
-                    cols.append(_node_index(jx, jy, g))
-                    vals.append(w)
-                else:
-                    w = 0.5 * (kappa[ix, iy] + boundary_kappa)
-                diag[u] += w
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(g * g, g * g)).tocsr()
-    return lap - sp.diags(diag)
+    ``boundary_kappa`` for the ghost side.  Unscaled (no 1/h^2).
+
+    Node u = iy * g + ix; ``kappa`` is indexed [ix, iy].  Each row is
+    written straight in CSR order (columns u - g, u - 1, u, u + 1, u + g).
+    The diagonal sums the four weights from 0 in the order +x, -x, +y, -y,
+    so it rounds as a per-node loop does, and zero entries are not stored,
+    as in the sparse difference W - D."""
+    n = g * g
+    k = np.asarray(kappa, dtype=float).T  # [iy, ix]: raveled in node order
+    ghost = np.pad(k, 1, constant_values=boundary_kappa)
+    w = 0.5 * (k[..., None] + np.stack(  # +x, -x, +y, -y
+        [ghost[1:-1, 2:], ghost[1:-1, :-2], ghost[2:, 1:-1], ghost[:-2, 1:-1]],
+        axis=-1))
+    diag = ((w[..., 0] + w[..., 1]) + w[..., 2]) + w[..., 3]
+    vals = np.stack([w[..., 3], w[..., 1], -diag, w[..., 0], w[..., 2]],
+                    axis=-1).reshape(n, 5)
+    ix, iy = np.meshgrid(np.arange(g), np.arange(g))
+    keep = np.stack([iy > 0, ix > 0, np.full((g, g), True), ix < g - 1,
+                     iy < g - 1], axis=-1).reshape(n, 5) & (vals != 0)
+    cols = np.arange(n)[:, None] + np.array([-g, -1, 0, 1, g])
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 def gen_fd_laplacian(grid_size: int) -> LtiSystem:
@@ -81,11 +84,8 @@ def gen_fd_laplacian(grid_size: int) -> LtiSystem:
         obs_cols = np.array([g - 1])
     b = np.zeros((g * g, 1))
     c = np.zeros((1, g * g))
-    for iy in range(g):
-        for ix in src_cols:
-            b[_node_index(ix, iy, g), 0] = 1.0
-        for ix in obs_cols:
-            c[0, _node_index(ix, iy, g)] = 1.0
+    b.reshape(g, g)[:, src_cols] = 1.0  # [iy, ix] views of the node axis
+    c.reshape(g, g)[:, obs_cols] = 1.0
     c /= c.sum()
     return LtiSystem(a=a, b=b, c=c, e=None)
 
@@ -119,23 +119,15 @@ def gen_thermal_block_mini(cfg: BenchConfig) -> ParametricSystem:
     h = 1.0 / (g + 1)
     boxes = _block_boxes(g)
     kappa_mu = np.zeros((g, g))
-    block_nodes = []
-    for coef, (x0, x1, y0, y1) in zip(COEFFICIENTS, boxes):
-        nodes = []
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                kappa_mu[ix, iy] = coef
-                nodes.append(_node_index(ix, iy, g))
-        block_nodes.append(nodes)
+    c = np.zeros((4, g * g))
+    for i, (coef, (x0, x1, y0, y1)) in enumerate(zip(COEFFICIENTS, boxes)):
+        kappa_mu[x0:x1 + 1, y0:y1 + 1] = coef
+        block = c[i].reshape(g, g)[y0:y1 + 1, x0:x1 + 1]
+        block[...] = 1.0 / block.size
     a0 = (_weighted_laplacian(g, np.ones((g, g)), 1.0) / h ** 2).tocsr()
     a1 = (_weighted_laplacian(g, kappa_mu, 0.0) / h ** 2).tocsr()
     b = np.zeros((g * g, 1))
-    for ix in range(g):
-        # unit flux density through the bottom boundary face
-        b[_node_index(ix, 0, g), 0] = 1.0 / h
-    c = np.zeros((4, g * g))
-    for i, nodes in enumerate(block_nodes):
-        c[i, nodes] = 1.0 / len(nodes)
+    b[:g, 0] = 1.0 / h  # unit flux density through the bottom boundary face
     return ParametricSystem(
         a_fn=lambda mu: (a0 + mu * a1).tocsr(),
         b_fn=lambda mu: b,

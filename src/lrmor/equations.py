@@ -295,11 +295,3 @@ def stability_check(e, a):
     abscissa = float(lam.real.max())
     return abscissa < 0.0, abscissa
 
-
-def spsd_factor(p: np.ndarray, tol: float = 1e-12) -> LowRankFactor:
-    """Factor a symmetric PSD matrix as Z Z^T via its eigendecomposition."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    w, vecs = la.eigh((p + p.T) / 2.0)
-    cut = max(w.max(), 0.0) * tol
-    keep = w > cut
-    return LowRankFactor(vecs[:, keep] * np.sqrt(w[keep]))

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
-                        riccati_residual, spectral_norm, stability_check)
+                        riccati_residual, spectral_norm)
 from .errors import SolverError
 from .lradi import AdiOptions, _schedule, shift_pool
 from .operators import OperatorSet
@@ -141,10 +141,3 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
     return NewtonResult(z, k.T, residuals,
                         residuals[-1] <= opts.rel_tolerance)
 
-
-def closed_loop_check(spec: RiccatiSpec, k: np.ndarray) -> bool:
-    """Whether the closed-loop pencil (A_eff - B K, E) is stable."""
-    system = spec.system if spec.side == "T" else spec.system.transposed()
-    acl = system.dense_a_eff() - system.b @ np.atleast_2d(k)
-    stable, _ = stability_check(system.e, acl)
-    return stable

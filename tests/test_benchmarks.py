@@ -3,6 +3,21 @@ import pytest
 
 from lrmor import (BenchConfig, gen_fd_laplacian, gen_thermal_block_mini,
                    stability_check)
+from referees import loop_fd_laplacian, loop_thermal_block
+
+
+def assert_same_bits(got, want):
+    """Equal CSR arrays (indptr, indices, data) or equal dense arrays, in
+    value and dtype."""
+    if hasattr(want, "indptr"):
+        assert got.format == want.format == "csr"
+        pairs = [(getattr(got, f), getattr(want, f))
+                 for f in ("indptr", "indices", "data")]
+    else:
+        pairs = [(got, want)]
+    for x, y in pairs:
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
 
 
 class TestFdLaplacian:
@@ -97,3 +112,21 @@ class TestThermalBlock:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive"):
             BenchConfig(grid_size=10, mu_range=(0.0, 1.0))
+
+
+class TestArrayAssembly:
+    """The array assembly reproduces the per-node loop bit for bit."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 7, 10, 33])
+    def test_fd_matches_loop(self, g):
+        sys_ = gen_fd_laplacian(g)
+        for got, want in zip((sys_.a, sys_.b, sys_.c), loop_fd_laplacian(g),
+                             strict=True):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("g", [8, 9, 10, 12, 24, 32])
+    def test_thermal_matches_loop(self, g):
+        psys = gen_thermal_block_mini(BenchConfig(grid_size=g))
+        got = (*psys.a_affine, psys.b_fn(1.0), psys.c_fn(1.0))
+        for x, y in zip(got, loop_thermal_block(g), strict=True):
+            assert_same_bits(x, y)

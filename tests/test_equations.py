@@ -5,7 +5,8 @@ import scipy.linalg as la
 from lrmor import (LowRankFactor, LyapunovSpec, RiccatiSpec,
                    SingularOperatorError, SolverError, dense_are_solve,
                    dense_lyap_solve, lyap_residual, riccati_residual,
-                   spsd_factor, stability_check)
+                   stability_check)
+from referees import spsd_factor
 
 from conftest import random_stable_system, scalar_system
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from lrmor import (AdiOptions, LowRankFactor, LtiSystem, NewtonOptions,
-                   OperatorSet, RiccatiSpec, SolverError, closed_loop_check,
-                   dense_are_solve, gen_fd_laplacian, lqg_transform,
-                   lr_newton, riccati_residual)
+                   OperatorSet, RiccatiSpec, SolverError, dense_are_solve,
+                   gen_fd_laplacian, lqg_transform, lr_newton,
+                   riccati_residual)
 from lrmor.lradi import shift_pool
 from lrmor.operators import MAX_LUS
+from referees import closed_loop_check
 
 from conftest import random_stable_system, scalar_system, unstable_fd_system
 

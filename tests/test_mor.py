@@ -15,11 +15,11 @@ from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
                    SolverError, balanced_truncation, br_transform,
                    dense_lyap_solve, gen_fd_laplacian, gen_thermal_block_mini,
                    heuristic_shifts, irka, lqg_transform, lr_adi, lr_newton,
-                   lyap_residual, pr_transform, project, spsd_factor,
-                   square_root_method, stability_check, transfer_eval)
+                   lyap_residual, pr_transform, project, square_root_method,
+                   stability_check, transfer_eval)
 from lrmor import mor
 from lrmor.lradi import _gramian_pair
-from referees import transformed_residual, variant_residual
+from referees import spsd_factor, transformed_residual, variant_residual
 
 from conftest import pair_sorted, random_stable_system, scalar_system
 
