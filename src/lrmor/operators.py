@@ -96,7 +96,10 @@ class LuCache(OrderedDict):
     MMD way, so an LU evicted and made again is the same factorization; E's
     own LU keeps its own MMD ordering.  :meth:`private` caches share the
     ordering and patterns, not the LUs.  There is no lock: threads sharing
-    a cache may make the same LU twice, never a wrong one.
+    a cache may make the same LU twice, never a wrong one, but the thread
+    that makes the first LU of A or A + pE orders the pencil and so decides
+    the bits of every later LU.  ``sgrid`` therefore evaluates its first
+    row before its worker threads start.
     """
 
     def __init__(self, a, e=None):

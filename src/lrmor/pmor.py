@@ -36,6 +36,9 @@ class ParametricSystem:
     stiffness part has an affine decomposition A(mu) = A0 + mu * A1 it can
     be recorded in ``a_affine`` for consumers that exploit it.
     ``instantiate(mu)`` returns the full-order ``LtiSystem`` at ``mu``.
+    The sigma sweeps call ``instantiate`` (and so the callbacks) in the
+    calling thread only; the ``transfer`` of the system it returns may run
+    on a worker thread.
     """
 
     a_fn: Callable

@@ -12,10 +12,21 @@ called once per grid row and returns a non-parametric model, whose
 ``instantiate`` is non-parametric and serves every row as it is.  A row
 that hits a singular point is redone point by point, so that only its
 singular cells become NaN.
+
+Rows run on worker threads, one per CPU the process may use, since sparse
+LUs release the GIL.  The calling thread makes every ``instantiate(mu)``
+call, in row order, and evaluates row 0 before any worker starts, so a
+pencil shared by all rows is ordered as in a serial sweep and every value is
+bit-identical to it; workers only call ``transfer``.  The sweep returns once
+its threads have left the OS, so the process may fork right after it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +62,19 @@ def _at(obj, mu):
     return obj.instantiate(mu) if hasattr(obj, "instantiate") else obj
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep(row, objs, mus, omegas):
     """``row(models, points)`` per row, ``models`` being ``objs`` at its mu."""
     values = np.empty((len(mus), len(omegas)))
     points = 1j * omegas
-    for i, mu in enumerate(mus):
-        models = [_at(obj, mu) for obj in objs]
+
+    def fill(i, models):
         try:
             values[i] = row(models, points)
         except (SingularOperatorError, np.linalg.LinAlgError):
@@ -65,7 +83,41 @@ def _sweep(row, objs, mus, omegas):
                     values[i, j] = row(models, s)
                 except (SingularOperatorError, np.linalg.LinAlgError):
                     values[i, j] = np.nan
+
+    rows = ((i, [_at(obj, mu) for obj in objs]) for i, mu in enumerate(mus))
+    workers = min(_cpus(), len(mus))
+    if workers <= 1:
+        for i, models in rows:
+            fill(i, models)
+        return values
+    fill(*next(rows))  # row 0 orders any pencil the rows share
+    tids = []
+    try:
+        with ThreadPoolExecutor(workers, initializer=lambda: tids.append(
+                threading.get_native_id())) as pool:
+            running = set()
+            for i, models in rows:
+                running.add(pool.submit(fill, i, models))
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()
+            for future in running:
+                future.result()
+    finally:
+        _await_exit(tids)
     return values
+
+
+def _await_exit(tids):
+    """Wait, at most 1 s, until the OS threads ``tids`` are gone: a joined
+    Python thread can linger in the OS for a few ms, and a process that
+    forks meanwhile copies a half-dead thread."""
+    deadline = time.monotonic() + 1.0
+    for tid in tids:
+        while (os.path.exists(f"/proc/self/task/{tid}")
+               and time.monotonic() < deadline):
+            time.sleep(1e-4)
 
 
 def _sigma_max(h):

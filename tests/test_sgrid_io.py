@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +12,7 @@ from lrmor import (BenchConfig, LtiSystem, ParametricSystem, PiecewiseRom,
                    load_system, log_samples, piecewise_assemble, project,
                    read_dense, read_grid_csv, read_matrix, sigma_error_grid,
                    sigma_grid, train, write_grid_csv, write_matrix)
+import lrmor.sgrid
 from lrmor.sgrid import SigmaGrid, frequency_samples, parameter_samples
 
 from conftest import scalar_system
@@ -173,6 +178,134 @@ class TestParametricRomSweeps:
         np.testing.assert_array_equal(
             sigma_error_grid(psys, model, mus=mus, omegas=omegas).values,
             per_cell_values(error_cell, [psys, model], mus, omegas))
+
+
+def singular_psys():
+    """Eigenvalues +-i*mu: singular at omega = mu."""
+    return ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
+                            b_fn=lambda mu: [[1.0], [0.0]],
+                            c_fn=lambda mu: [[0.0, 1.0]], domain=(0.5, 4.0))
+
+
+def os_threads():
+    """The ids of this process's OS threads (BLAS may run some of its own)."""
+    return set(os.listdir("/proc/self/task"))
+
+
+class RecordingModel:
+    """A parametric duck model that records the thread of every call and
+    raises ``error`` from the transfer of row ``bad_mu``."""
+
+    def __init__(self, bad_mu=None, error=None):
+        self.bad_mu, self.error = bad_mu, error
+        self.instantiated, self.transferred = [], []
+
+    def instantiate(self, mu):
+        self.instantiated.append((mu, threading.get_ident()))
+        return _RecordingRow(self, mu)
+
+
+class _RecordingRow:
+    def __init__(self, owner, mu):
+        self.owner, self.mu = owner, mu
+
+    def transfer(self, s):
+        self.owner.transferred.append((self.mu, threading.get_ident()))
+        if self.mu == self.owner.bad_mu:
+            raise self.owner.error
+        return np.full((np.size(s), 1, 1), self.mu)
+
+
+class TestParallelSweep:
+    """Rows on worker threads give the serial sweep's grid bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def training(self):
+        psys = gen_thermal_block_mini(BenchConfig(grid_size=12))
+        return train(psys, log_samples(*psys.domain, 4), "bt-tol", tol=1e-4)
+
+    @pytest.fixture(params=["full16", "shared-pencil", "piecewise",
+                            "interpolatory", "error-grid", "singular"])
+    def sweep(self, request, training):
+        """A callable that runs the case's sweep on a fresh model."""
+        mus, omegas = np.logspace(-6, 2, 5), np.logspace(-4, 4, 6)
+        return {
+            "full16": lambda: sigma_grid(
+                gen_thermal_block_mini(BenchConfig(grid_size=16)),
+                mus=mus, omegas=omegas),
+            "shared-pencil": lambda: sigma_grid(
+                gen_fd_laplacian(10), mus=[0.0, 1.0, 2.0, 3.0],
+                omegas=[0.5]),
+            "piecewise": lambda: sigma_grid(
+                piecewise_assemble(training), mus=mus, omegas=omegas),
+            "interpolatory": lambda: sigma_grid(
+                interpolatory_assemble(training, "bspline2"), mus=mus,
+                omegas=omegas),
+            "error-grid": lambda: sigma_error_grid(
+                training.psys, piecewise_assemble(training, one_sided=True),
+                mus=mus, omegas=omegas),
+            "singular": lambda: sigma_grid(
+                singular_psys(), mus=[1.0, 2.0, 3.0],
+                omegas=[0.5, 1.0, 2.0, 3.0]),
+        }[request.param]
+
+    def test_parallel_equals_serial(self, sweep, monkeypatch):
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 1)
+        serial = sweep().values
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        parallel = sweep().values
+        np.testing.assert_array_equal(parallel, serial)
+        # only the singular case, the one 3 x 4 grid, has NaN cells
+        assert np.isnan(serial).any() == (serial.shape == (3, 4))
+
+    def test_instantiate_in_caller_transfer_on_workers(self, monkeypatch):
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        model, mus = RecordingModel(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        grid = sigma_grid(model, mus=mus, omegas=[1.0, 2.0])
+        np.testing.assert_array_equal(grid.values, np.outer(mus, [1, 1]))
+        caller = threading.get_ident()
+        assert model.instantiated == [(mu, caller) for mu in mus]
+        assert model.transferred[0] == (1.0, caller)  # row 0 first, here
+        assert {t for _, t in model.transferred[1:]} - {caller}
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 1)
+        assert sigma_grid(RecordingModel(), mus=[1.0, 2.0, 3.0],
+                          omegas=[1.0]).values.shape == (3, 1)
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        assert sigma_grid(RecordingModel(), mus=[1.0],
+                          omegas=[1.0]).values.shape == (1, 1)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/task")
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        # a joined pool thread can linger in the OS for a few ms; a plain
+        # pool leaves one behind after a few percent of such sweeps
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        before = os_threads()
+        model = scalar_system()
+        lingering = 0
+        for _ in range(300):
+            sigma_grid(model, mus=[0.0, 1.0, 2.0], omegas=[1.0])
+            lingering += os_threads() != before
+        assert lingering == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/task")
+    def test_row_error_propagates_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        before = os_threads()
+        error = ValueError("bad row")
+        model = RecordingModel(bad_mu=3.0, error=error)
+        with pytest.raises(ValueError) as raised:
+            sigma_grid(model, mus=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                       omegas=[1.0])
+        assert raised.value is error
+        assert os_threads() == before
 
 
 class TestCsvRoundTrip:
