@@ -20,23 +20,26 @@ sparse base matrix and finishes with one Sherman-Morrison-Woodbury step, so
 the updated matrix is never formed and never enters an LU.  A set keeps
 nothing between calls but its system and the cache reference.
 
-Fill-reducing ordering: the pattern work is done once per pencil.  The
-pencil's first LU of A or A + pE runs SuperLU's symmetric mode with a
-minimum-degree ordering of A^T + A (``MMD_AT_PLUS_A``), which on the
-structurally symmetric pencils of the FD and thermal-block models yields far
-less fill than the default COLAMD column ordering.  Its column permutation
-becomes the pencil's ordering q: every later LU factorizes the matrix
-permuted to ``[q][:, q]`` with the ``NATURAL`` ordering, at the same fill.
-Each matrix is written from the values of A and E aligned on their union
-pattern (E^T for A + pE^T, the identity without E), stored once, so no shift
-pays for a sparse add.  SuperLU keeps its default threshold partial
-pivoting (symmetric mode takes the diagonal pivot only when it is as large as
-the largest entry of its column), so the ordering is a hint and solves stay
-correct on non-symmetric patterns too.  Every LU is column-wise
-(``RELAX = PANEL_SIZE = 1``): SuperLU's default supernode relaxation and
-panel size are tuned for large 3-D problems, and on these 2-D pencils
-column-wise LUs of the same fill took 0.7-0.8x the time (n = 576 to 10^4,
-real and complex).
+Fill-reducing ordering: the pattern work is done once per pencil, and no
+result depends on which shift came first.  The pencil's first request for
+an LU of A or A + pE orders it: SuperLU's symmetric mode with a minimum-degree
+ordering of A^T + A (``MMD_AT_PLUS_A``) factorizes that shift's matrix, and
+its column permutation becomes the pencil's ordering q; that LU is dropped.
+In symmetric mode q depends on the pattern of A^T + A alone, the same for
+every shift and for A + pE^T, so every LU, the first included, factorizes
+the matrix permuted to ``[q][:, q]`` with the ``NATURAL`` ordering.  On the
+structurally symmetric pencils of the FD and thermal-block models this
+yields far less fill than the default COLAMD column ordering.  E's own LU
+keeps its own MMD ordering.  Each matrix is written from the values of A and
+E aligned on their permuted union pattern (E^T for A + pE^T, the identity
+without E), stored once, so no shift pays for a sparse add.  SuperLU keeps
+its default threshold partial pivoting (symmetric mode takes the diagonal
+pivot only when it is as large as the largest entry of its column), so the
+ordering is a hint and solves stay correct on non-symmetric patterns too.
+Every LU is column-wise (``RELAX = PANEL_SIZE = 1``): SuperLU's default
+supernode relaxation and panel size are tuned for large 3-D problems, and on
+these 2-D pencils column-wise LUs of the same fill took 0.7-0.8x the time
+(n = 576 to 10^4, real and complex).
 
 Transpose arguments follow the BLAS convention: ``"N"`` for the matrix
 itself, ``"T"`` for its transpose.
@@ -83,6 +86,12 @@ def _splu(m, permc_spec):
                 options=dict(SymmetricMode=True))
 
 
+def _shifted(m, p):
+    """A + pE from its pattern matrix A + 1j E, every stored entry kept."""
+    return sp.csc_matrix((m.data.real + p * m.data.imag, m.indices, m.indptr),
+                         shape=m.shape)
+
+
 class LuCache(OrderedDict):
     """Sparse LUs of one (A, E) pencil, least recently used first, and the
     pencil's ordering and patterns.
@@ -91,15 +100,12 @@ class LuCache(OrderedDict):
     (``mixed=False``) or A + pE^T (``mixed=True``); real shifts are stored
     as floats, and A is the shift 0.0.  Only a complex shift makes a
     complex LU.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
-    :meth:`holding` raises it).  The first LU of A or A + pE, the origin,
-    orders the pencil (see the module docstring) and is always remade the
-    MMD way, so an LU evicted and made again is the same factorization; E's
-    own LU keeps its own MMD ordering.  :meth:`private` caches share the
-    ordering and patterns, not the LUs.  There is no lock: threads sharing
-    a cache may make the same LU twice, never a wrong one, but the thread
-    that makes the first LU of A or A + pE orders the pencil and so decides
-    the bits of every later LU.  ``sgrid`` therefore evaluates its first
-    row before its worker threads start.
+    :meth:`holding` raises it).  Every LU of A or A + pE is made on the
+    pencil's ordering (see the module docstring), so an LU is the same
+    factorization whichever LUs came before it, evicted and made again
+    too.  :meth:`private` caches share the ordering and patterns, not the
+    LUs.  There is no lock: threads sharing a cache may make the same LU or
+    ordering twice, never a different one.
     """
 
     def __init__(self, a, e=None):
@@ -107,8 +113,7 @@ class LuCache(OrderedDict):
         self.a = a
         self.e = e
         self.bound = MAX_LUS
-        # "order": (origin key, q), set once; ("pattern", mixed,
-        # permuted): (indices, indptr, A values, E values)
+        # "order": q, set once; ("pattern", mixed): see _pattern
         self._symbolic = {}
 
     def private(self) -> "LuCache":
@@ -130,9 +135,9 @@ class LuCache(OrderedDict):
                 self.popitem(last=False)
 
     def factor(self, key):
-        """``(lu, q)`` for ``key``, the LU made on a miss; ``q`` is the
-        pencil's ordering when the LU factors the matrix permuted to
-        ``[q][:, q]``, else ``None``."""
+        """``(lu, q)`` for ``key``, the LU made on a miss: the LU of the
+        matrix permuted to ``[q][:, q]`` by the pencil's ordering q, or
+        ``q = None`` for E's own LU."""
         lu = self.pop(key, None)
         if lu is None:
             try:
@@ -143,10 +148,7 @@ class LuCache(OrderedDict):
         self[key] = lu
         while len(self) > self.bound:
             self.popitem(last=False)
-        order = self._symbolic.get("order")
-        if key[0] == "E" or order[0] == key:
-            return lu, None
-        return lu, order[1]
+        return lu, None if key[0] == "E" else self._symbolic["order"]
 
     def nearest(self, p, rel):
         """The shift q nearest to ``p`` among the cached LUs of A + qE of
@@ -162,34 +164,27 @@ class LuCache(OrderedDict):
         if key[0] == "E":
             return _splu(self.e.tocsc(), "MMD_AT_PLUS_A")
         p, mixed = key[1:]
-        order = self._symbolic.get("order")
-        if order is None or order[0] == key:
-            lu = _splu(self._matrix(p, mixed, None), "MMD_AT_PLUS_A")
-            order = self._symbolic.setdefault(
-                "order", (key, np.argsort(lu.perm_c)))
-            if order[0] == key:
-                return lu
-            # another thread made the ordering from its own key first
-        return _splu(self._matrix(p, mixed, order[1]), "NATURAL")
+        m = self._symbolic.get(("pattern", mixed))
+        if m is None:
+            m = self._symbolic.setdefault(("pattern", mixed),
+                                          self._pattern(p, mixed))
+        return _splu(_shifted(m, p), "NATURAL")
 
-    def _matrix(self, p, mixed, q):
-        # A + pE (A + pE^T when mixed) on the union pattern, permuted to
-        # [q][:, q] unless q is None
-        key = ("pattern", mixed, q is not None)
-        pattern = self._symbolic.get(key)
-        if pattern is None:
-            e = self.e if self.e is not None \
-                else sp.identity(self.a.shape[0], format="csr")
-            # A's and E's values as real and imaginary parts: no cancellation
-            m = (self.a + 1j * (e.T if mixed else e)).tocsc()
-            if q is not None:
-                m = m[q][:, q]
-            m.sort_indices()
-            pattern = self._symbolic.setdefault(key, (
-                m.indices, m.indptr, m.data.real.copy(), m.data.imag.copy()))
-        indices, indptr, a_vals, e_vals = pattern
-        return sp.csc_matrix((a_vals + p * e_vals, indices, indptr),
-                             shape=self.a.shape)
+    def _pattern(self, p, mixed):
+        # A + 1j E (A + 1j E^T when mixed) on the union pattern permuted to
+        # [q][:, q]: A's and E's values as real and imaginary parts, so no
+        # cancellation.  Orders the pencil by an LU at p if nothing has.
+        e = self.e if self.e is not None \
+            else sp.identity(self.a.shape[0], format="csr")
+        m = (self.a + 1j * (e.T if mixed else e)).tocsc()
+        m.sort_indices()
+        if "order" not in self._symbolic:
+            lu = _splu(_shifted(m, p), "MMD_AT_PLUS_A")
+            self._symbolic.setdefault("order", np.argsort(lu.perm_c))
+        q = self._symbolic["order"]
+        m = m[q][:, q]
+        m.sort_indices()
+        return m
 
 
 class OperatorSet:

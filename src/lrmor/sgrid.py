@@ -15,10 +15,10 @@ singular cells become NaN.
 
 Rows run on worker threads, one per CPU the process may use, since sparse
 LUs release the GIL.  The calling thread makes every ``instantiate(mu)``
-call, in row order, and evaluates row 0 before any worker starts, so a
-pencil shared by all rows is ordered as in a serial sweep and every value is
-bit-identical to it; workers only call ``transfer``.  The sweep returns once
-its threads have left the OS, so the process may fork right after it.
+call, in row order; workers only call ``transfer``.  No LU depends on which
+row ran first (see :mod:`lrmor.operators`), so every value is bit-identical
+to a serial sweep's.  The sweep returns once its threads have left the OS,
+so the process may fork right after it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ def _sweep(row, objs, mus, omegas):
         for i, models in rows:
             fill(i, models)
         return values
-    fill(*next(rows))  # row 0 orders any pencil the rows share
     tids = []
     try:
         with ThreadPoolExecutor(workers, initializer=lambda: tids.append(

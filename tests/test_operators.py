@@ -350,28 +350,6 @@ class TestSizeAndCache:
                 assert np.linalg.norm(mat @ sol - b) \
                     <= 1e-10 * np.linalg.norm(b)
 
-    def test_ordering_set_during_first_lu(self, rng, monkeypatch):
-        # deterministic form of the race: another LU sets the ordering while
-        # the first MMD LU runs, which must then be remade on that ordering
-        sys_ = _rand_sys(rng, n=12)
-        ops = OperatorSet(sys_)
-        b = rng.standard_normal((12, 2))
-        specs = []
-
-        def racing(*args, **kwargs):
-            specs.append(kwargs["permc_spec"])
-            if len(specs) == 1:
-                ops.sol_ape("N", -0.9, "N", b)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr("lrmor.operators.splu", racing)
-        ops.sol_ape("N", -0.4, "N", b)
-        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
-        for p in (-0.4, -0.9):
-            x = ops.sol_ape("N", p, "N", b)
-            mat = sys_.a.toarray() + p * sys_.e.toarray()
-            assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
-
 
 @pytest.fixture
 def permc_specs(monkeypatch):
@@ -387,9 +365,10 @@ def permc_specs(monkeypatch):
 
 
 class TestOrdering:
-    """The pencil's first LU is ordered by symmetric-mode MMD on A^T + A;
-    every later one reuses that ordering.  Both solve exactly on
-    structurally symmetric and non-symmetric patterns alike."""
+    """The pencil's first LU request orders it by a symmetric-mode MMD LU
+    on A^T + A, which is dropped; every LU, the first included, reuses that
+    ordering.  They solve exactly on structurally symmetric and
+    non-symmetric patterns alike."""
 
     @staticmethod
     def _system(rng, symmetric, with_e, k):
@@ -412,8 +391,8 @@ class TestOrdering:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_solves_match_dense(self, rng, symmetric, with_e, k,
                                 permc_specs):
-        # the first LU (at -2.5) orders the pencil; the LUs of A and of A +
-        # pE for both shifts and both E patterns reuse its ordering
+        # the first request (at -2.5) orders the pencil; the LUs at -2.5, of
+        # A and of A + pE for both shifts and both E patterns use its order
         sys_ = self._system(rng, symmetric, with_e, k)
         ops = OperatorSet(sys_)
         pattern = (sys_.a != 0).astype(int)
@@ -433,7 +412,18 @@ class TestOrdering:
                         else ops.sol_a(tr_a, b)
                     assert np.linalg.norm(x - ref) \
                         <= 1e-12 * np.linalg.norm(ref)
-        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 5
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 6
+
+    def test_no_lu_depends_on_the_first_shift(self):
+        # the ordering is the pattern's: each shift's solve has the same
+        # bits whichever shift a fresh pencil saw first
+        b = np.ones((100, 1))
+        runs = []
+        for shifts in ((-0.5, -3.0), (-3.0, -0.5)):
+            ops = OperatorSet(gen_fd_laplacian(10))
+            runs.append({p: ops.sol_ape("N", p, "N", b) for p in shifts})
+        for p in (-0.5, -3.0):
+            np.testing.assert_array_equal(runs[0][p], runs[1][p])
 
     def test_reused_ordering_keeps_fill(self):
         sys_ = gen_fd_laplacian(30)
@@ -472,7 +462,7 @@ class TestSharedLuCache:
         b = rng.standard_normal((10, 2))
         OperatorSet(sys_).sol_ape("N", -0.3, "N", b)
         OperatorSet(sys_).sol_ape("T", -0.3, "T", b)
-        assert lu_count() == 1
+        assert lu_count() == 1 + 1  # the ordering LU, then the shift's
 
     def test_eviction_bound_and_refactorization(self, rng, lu_count):
         # bound: the cache never holds more than MAX_LUS LUs, and a solve at
@@ -489,7 +479,7 @@ class TestSharedLuCache:
         assert len(sys_.lu_cache) == MAX_LUS
         assert ("ApE", shifts[0], False) not in sys_.lu_cache
         again = ops.sol_ape("N", shifts[0], "N", b)
-        assert lu_count() == len(shifts) + 1
+        assert lu_count() == 1 + len(shifts) + 1  # the ordering LU first
         mat = sys_.a.toarray() + shifts[0] * sys_.e.toarray()
         ref = np.linalg.solve(mat, b)
         assert np.linalg.norm(again - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -534,7 +524,7 @@ class TestSharedLuCache:
             ref = sys_.c @ np.linalg.solve(
                 1j * om * sys_.dense_e() - sys_.a.toarray(), sys_.b)
             np.testing.assert_allclose(h, ref, rtol=1e-10)
-        assert lu_count() == 1 + len(omegas)
+        assert lu_count() == 1 + 1 + len(omegas)  # the ordering LU first
         assert dict(sys_.lu_cache) == before
 
     def test_transfer_sweep_orders_pencil_once(self, rng, permc_specs):
@@ -546,7 +536,7 @@ class TestSharedLuCache:
         ref = sys_.c @ np.linalg.solve(
             1j * omegas[-1] * sys_.dense_e() - sys_.a.toarray(), sys_.b)
         np.testing.assert_allclose(h, ref, rtol=1e-10)
-        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 15
         assert len(sys_.lu_cache) == 0
 
     def test_transfer_over_points_holds_one_lu_at_a_time(self, rng,
@@ -578,9 +568,9 @@ class TestSharedLuCache:
         ref = sys_.c @ np.linalg.solve(
             1j * omegas[-1] * sys_.dense_e() - sys_.a.toarray(), sys_.b)
         np.testing.assert_allclose(h[-1], ref, rtol=1e-10)
-        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 14
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 15
         assert len(sys_.lu_cache) == 0
-        assert held == [0] * 15
+        assert held == [0] * 16
 
     def test_sol_a_shares_the_lu_of_shift_zero(self, rng, lu_count):
         sys_ = _rand_sys(rng, n=10, k=2)
@@ -588,7 +578,7 @@ class TestSharedLuCache:
         b = rng.standard_normal((10, 2))
         x = ops.sol_a("N", b)
         y = ops.sol_ape("N", 0.0, "N", b)
-        assert lu_count() == 1
+        assert lu_count() == 1 + 1  # the ordering LU, then A's
         np.testing.assert_array_equal(x, y)
         assert np.linalg.norm(sys_.dense_a_eff() @ x - b) \
             <= 1e-10 * np.linalg.norm(b)
