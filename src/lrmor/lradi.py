@@ -10,7 +10,11 @@ real throughout.
 
 Shifts are self-generated by default: Ritz values of the pencil projected
 onto a small orthonormalized basis (the initial residual factor at first,
-the most recent solve blocks afterwards).  A Ritz-value-based heuristic set
+the most recent solve blocks afterwards).  A new projection shift p is
+replaced by the nearest shift q the run has already taken, if q has p's
+width (real or conjugate pair) and |p - q| <= 0.2 |p|, so the LU of A + qE
+serves again.  Every step stays an exact ADI step with a stable shift; only
+the rate of convergence can change.  A Ritz-value-based heuristic set
 computed once from Arnoldi runs with A and A^{-1} is available as the
 fallback and as an explicit strategy.
 
@@ -32,6 +36,9 @@ from .errors import SingularOperatorError, SolverError
 from .operators import OperatorSet
 
 _REAL_TOL = 1e-13
+
+# relative radius within which a projection shift gives way to an earlier one
+_REUSE = 0.2
 
 
 def _width(p) -> int:
@@ -233,12 +240,25 @@ def shift_pool(ops: OperatorSet, opts: AdiOptions) -> ShiftSet | None:
     return None
 
 
+def _reuse(p, taken: list):
+    """The shift in ``taken`` nearest to ``p`` of p's width within
+    ``_REUSE`` |p|, else ``p``, which then joins ``taken``."""
+    near = [q for q in taken if _width(q) == _width(p)
+            and abs(p - q) <= _REUSE * abs(p)]
+    if near:
+        return min(near, key=lambda q: abs(p - q))
+    taken.append(p)
+    return p
+
+
 def _schedule(ops: OperatorSet, opts: AdiOptions, w):
     """Yields ``(shift, width)`` for each ADI step and takes the step's solve
     block back by ``send``.  A pool from :func:`shift_pool` is cycled.
     Otherwise each batch holds the projection shifts of the latest
     ``shift_batch`` solve blocks (of ``w`` at first), renewed when it runs
-    out or after ``shift_batch`` iterations."""
+    out or after ``shift_batch`` iterations, and each batch shift yields to
+    the nearest shift this schedule has already yielded, if that shift has
+    the same width and lies within ``_REUSE`` = 0.2 times its modulus."""
     pool = shift_pool(ops, opts)
     if pool is not None:
         i = 0
@@ -246,12 +266,14 @@ def _schedule(ops: OperatorSet, opts: AdiOptions, w):
             yield pool.values[i], _width(pool.values[i])
             i = (i + _width(pool.values[i])) % len(pool)
     recent = deque(maxlen=opts.shift_batch)
+    taken = []
     basis = w
     while True:
         batch = projection_shifts(ops, basis).values
         i = 0
         while i < min(len(batch), opts.shift_batch):
-            recent.append((yield batch[i], _width(batch[i])))
+            p = _reuse(batch[i], taken)
+            recent.append((yield p, _width(p)))
             i += _width(batch[i])
         basis = np.hstack(list(recent))
 
@@ -339,8 +361,9 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
 def _gramian_pair(system, opts: AdiOptions) -> tuple[AdiResult, AdiResult]:
     """LR-ADI runs for the Gramians P (side "N") and Q (side "T") of
     ``system`` on one operator set: P's run is :func:`lr_adi`'s, and Q takes
-    each of P's shifts right after P, on the LU P just made.  Once P has
-    converged, Q goes on alone on a schedule of its own latest blocks."""
+    each of P's shifts, reused ones too, right after P, on the LU P just
+    made.  Once P has converged, Q goes on alone on a schedule of its own
+    latest blocks, which reuses only the shifts it has yielded itself."""
     ops = OperatorSet(system)
     runs = _AdiRun(ops, "N", opts), _AdiRun(ops, "T", opts)
     schedule, block = _schedule(ops, opts, runs[0].w), None

@@ -52,21 +52,28 @@ class Rom:
         if self.order == 0:
             return np.broadcast_to(self.d, s.shape + self.d.shape) \
                 .astype(complex)
-        pencils = np.multiply.outer(s, self.e)
-        pencils -= self.a  # in place: a second stack costs more than the sum
-        if not (np.isfinite(pencils).all() and np.isfinite(self.b).all()):
-            raise ValueError("non-finite entry in the pencil or in B")
-        # the LU solve of scipy.linalg.solve without its condition estimate,
-        # which doubled the cost; numpy's own LAPACK rounds differently
-        getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"),
-                                           (pencils, self.b))
-        x = np.empty(s.shape + self.b.shape, getrf.dtype)
-        for i in np.ndindex(s.shape):
-            lu, piv, info = getrf(pencils[i])
-            if info > 0:
-                raise np.linalg.LinAlgError(f"singular pencil at s = {s[i]}")
-            x[i] = getrs(lu, piv, self.b)[0]
-        return self.c @ x + self.d
+        return self.c @ self._solve(s) + self.d
+
+    def _solve(self, s):
+        return _pencil_solve(self.e, self.a, self.b, s)
+
+
+def _pencil_solve(e, a, b, s):
+    """(s E - A)^{-1} B for each point of the array ``s``: (s.shape, n, m)."""
+    pencils = np.multiply.outer(s, e)
+    pencils -= a  # in place: a second stack costs more than the sum
+    if not (np.isfinite(pencils).all() and np.isfinite(b).all()):
+        raise ValueError("non-finite entry in the pencil or in B")
+    # the LU solve of scipy.linalg.solve without its condition estimate,
+    # which doubled the cost; numpy's own LAPACK rounds differently
+    getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (pencils, b))
+    x = np.empty(s.shape + b.shape, getrf.dtype)
+    for i in np.ndindex(s.shape):
+        lu, piv, info = getrf(pencils[i])
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular pencil at s = {s[i]}")
+        x[i] = getrs(lu, piv, b)[0]
+    return x
 
 
 @dataclass

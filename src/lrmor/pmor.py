@@ -13,6 +13,7 @@ Two families are provided on top of the non-parametric reductions:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,8 +22,8 @@ import scipy.linalg as la
 
 from .equations import orthonormal_basis
 from .errors import SolverError
-from .mor import IrkaOptions, IrkaResult, Rom, balanced_truncation, irka, \
-    project
+from .mor import IrkaOptions, IrkaResult, Rom, _pencil_solve, \
+    balanced_truncation, irka, project
 from .system import LtiSystem
 
 _METHODS = ("bt-tol", "bt-fixed", "irka")
@@ -241,6 +242,12 @@ class InterpolatoryRom:
     runs in the log10 parameter coordinate.  ``instantiate(mu)`` blends the
     output blocks into a ``Rom`` that shares the block pencil; the blend is
     not a projection, so that ``Rom`` has no bases.
+
+    Only Chat and D depend on mu, so X(s) = (s Ehat - Ahat)^{-1} Bhat is
+    solved once per vector of points: the interpolant keeps X for the
+    latest points it was asked for, and every instantiation's ``transfer``
+    at those points is Chat(mu) X + D(mu), bit for bit what solving anew
+    would give.  The block matrices must not change after the first solve.
     """
 
     nodes_log10: np.ndarray
@@ -252,6 +259,11 @@ class InterpolatoryRom:
     c_blocks: list
     d_blocks: list
     local_orders: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # (points key, read-only X) of the latest solve; the lock lets one
+        # sweep thread solve while the others wait for its X
+        self._memo, self._lock = None, threading.Lock()
 
     @property
     def order(self) -> int:
@@ -267,13 +279,34 @@ class InterpolatoryRom:
         ell = self.coefficients(mu)
         c_mu = np.hstack([li * ci for li, ci in zip(ell, self.c_blocks)])
         d_mu = sum(li * di for li, di in zip(ell, self.d_blocks))
-        return Rom(e=self.block_e, a=self.block_a, b=self.block_b, c=c_mu,
-                   d=d_mu)
+        return _Blend(self, c_mu, d_mu)
 
     def transfer(self, mu: float, s) -> np.ndarray:
         """Hhat(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D
         array of k points (see ``Rom.transfer``)."""
         return self.instantiate(mu).transfer(s)
+
+    def _solve(self, s):
+        key = (s.shape, s.dtype.str, s.tobytes())
+        with self._lock:
+            if self._memo is None or self._memo[0] != key:
+                x = _pencil_solve(self.block_e, self.block_a, self.block_b, s)
+                x.flags.writeable = False
+                self._memo = key, x
+            return self._memo[1]
+
+
+class _Blend(Rom):
+    """:meth:`InterpolatoryRom.instantiate`'s ``Rom``, which takes its
+    solves from the interpolant's memo."""
+
+    def __init__(self, source: InterpolatoryRom, c, d):
+        super().__init__(e=source.block_e, a=source.block_a,
+                         b=source.block_b, c=c, d=d)
+        self._source = source
+
+    def _solve(self, s):
+        return self._source._solve(s)
 
 
 def interpolatory_assemble(ts: TrainingSet, basis_kind: str = "lagrange"

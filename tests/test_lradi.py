@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg as la
 
 import lrmor.lradi
-from lrmor import (AdiOptions, LowRankFactor, LtiSystem, LyapunovSpec,
-                   OperatorSet, ShiftSet, SingularOperatorError, SolverError,
-                   dense_lyap_solve, heuristic_shifts, lr_adi, lyap_residual,
-                   projection_shifts)
+from lrmor import (AdiOptions, BenchConfig, LowRankFactor, LtiSystem,
+                   LyapunovSpec, OperatorSet, ShiftSet, SingularOperatorError,
+                   SolverError, balanced_truncation, dense_lyap_solve,
+                   gen_fd_laplacian, gen_thermal_block_mini, heuristic_shifts,
+                   lr_adi, lyap_residual, projection_shifts)
 
 from conftest import random_stable_system, scalar_system, unstable_fd_system
 
@@ -256,21 +257,86 @@ class TestShiftSchedule:
                      AdiOptions(shift_batch=batch, max_iterations=40,
                                 rel_tolerance=1e-300))
         # replay: each batch serves min(len, batch) shifts, rounded up to
-        # a whole pair, before the next one is made; the first batch
-        # projects onto the m columns of W_0, each later one onto the
-        # blocks of the last ``batch`` steps (m columns per shift)
-        expected, widths = [], []
+        # a whole pair, before the next one is made; a batch shift gives way
+        # to the nearest shift of its width already taken within _REUSE of
+        # its modulus; the first batch projects onto the m columns of W_0,
+        # each later one onto the blocks of the last ``batch`` steps (m
+        # columns per shift)
+        expected, widths, taken = [], [], []
         for values, cols in zip(batches, bases):
             assert cols == sys_.b.shape[1] * sum(widths[-batch:] or [1])
             i = 0
             while i < min(len(values), batch) \
                     and len(expected) < len(res.shifts_used):
                 width = 1 if values[i].imag == 0 else 2
-                expected.extend(values[i:i + width])
+                near = [q for q in taken if len(q) == width and abs(
+                    values[i] - q[0]) <= lrmor.lradi._REUSE * abs(values[i])]
+                if near:
+                    pick = min(near, key=lambda q: abs(values[i] - q[0]))
+                else:
+                    pick = values[i:i + width]
+                    taken.append(pick)
+                expected.extend(pick)
                 widths.append(width)
                 i += width
         assert len(expected) == len(res.shifts_used) >= 40
+        assert len(taken) < len(widths)  # some step took an earlier shift
         np.testing.assert_array_equal(res.shifts_used.values, expected)
         # no batch was made before the previous one was due
         served = [min(len(v), batch) for v in batches[:-1]]
         assert sum(served) < len(res.shifts_used)
+
+
+class TestShiftReuse:
+    """A projection shift gives way to the nearest shift its schedule has
+    already yielded, if that one has the same width and lies within
+    ``_REUSE`` times the new shift's modulus."""
+
+    def test_fd60_fewer_lus_same_accuracy(self, lu_count):
+        spec = LyapunovSpec(gen_fd_laplacian(60), "N")
+        start = lu_count()
+        res = lr_adi(spec, AdiOptions(rel_tolerance=1e-10))
+        # without reuse: 28 LUs (one orders the pencil) in 27 steps
+        assert lu_count() - start <= 20
+        assert res.converged and len(res.shifts_used) <= 29
+        assert lyap_residual(spec, res.z).relative <= 1e-10
+        start = lu_count()
+        rom, report = balanced_truncation(gen_fd_laplacian(60), tol=1e-4)
+        # without reuse: 28 LUs, order 2, bound 9.751138151178135e-05
+        assert lu_count() - start <= 20
+        assert rom.order == 2
+        assert report.error_bound == pytest.approx(9.751138151178135e-05,
+                                                   rel=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: gen_fd_laplacian(10),
+        complex_spectrum_system,
+        lambda rng: gen_thermal_block_mini(
+            BenchConfig(grid_size=12)).instantiate(100.0)],
+        ids=["fd10", "complex", "thermal12"])
+    def test_each_shift_is_fresh_or_an_earlier_one(self, rng, monkeypatch,
+                                                   make):
+        fresh = []
+        original = lrmor.lradi.projection_shifts
+
+        def recording(ops, basis):
+            out = original(ops, basis)
+            fresh.extend(out.values)
+            return out
+
+        monkeypatch.setattr(lrmor.lradi, "projection_shifts", recording)
+        res = lr_adi(LyapunovSpec(make(rng), "N"),
+                     AdiOptions(max_iterations=60, rel_tolerance=1e-14))
+        steps, shifts, i = [], res.shifts_used.values, 0
+        while i < len(shifts):
+            width = 1 if shifts[i].imag == 0 else 2
+            steps.append((shifts[i], width))
+            i += width
+        for k, (p, width) in enumerate(steps):
+            earlier = [q for q, w in steps[:k] if w == width]
+            if p not in earlier:
+                # a batch value no earlier shift of its width stands in for
+                assert p in fresh
+                assert all(abs(p - q) > lrmor.lradi._REUSE * abs(p)
+                           for q in earlier)
+        assert len({p for p, _ in steps}) < len(steps)

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import lrmor.operators
-from lrmor import (AdiOptions, LtiSystem, LyapunovSpec, NewtonOptions,
-                   OperatorSet, RiccatiSpec, SingularOperatorError,
-                   gen_fd_laplacian, lr_adi, lr_newton)
+from lrmor import (AdiOptions, BenchConfig, LtiSystem, LyapunovSpec,
+                   NewtonOptions, OperatorSet, RiccatiSpec,
+                   SingularOperatorError, gen_fd_laplacian,
+                   gen_thermal_block_mini, lr_adi, lr_newton)
 from lrmor.operators import MAX_LUS, LuCache
 
 from conftest import scalar_system, sparse_random
@@ -366,9 +367,9 @@ def permc_specs(monkeypatch):
 
 class TestOrdering:
     """The pencil's first LU request orders it by a symmetric-mode MMD LU
-    on A^T + A, which is dropped; every LU, the first included, reuses that
-    ordering.  They solve exactly on structurally symmetric and
-    non-symmetric patterns alike."""
+    on A^T + A, of A + Re(p) E for a first shift p, which is dropped; every
+    LU, the first included, reuses that ordering.  They solve exactly on
+    structurally symmetric and non-symmetric patterns alike."""
 
     @staticmethod
     def _system(rng, symmetric, with_e, k):
@@ -413,6 +414,48 @@ class TestOrdering:
                     assert np.linalg.norm(x - ref) \
                         <= 1e-12 * np.linalg.norm(ref)
         assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_fd_laplacian(10), lambda: gen_fd_laplacian(100),
+        lambda: gen_thermal_block_mini(
+            BenchConfig(grid_size=16)).instantiate(0.3),
+        lambda: gen_thermal_block_mini(
+            BenchConfig(grid_size=32)).instantiate(0.3)],
+        ids=["fd10", "fd100", "thermal16", "thermal32"])
+    @pytest.mark.parametrize("p", [-3.0j, -0.5 - 3.0j],
+                             ids=["imaginary", "complex"])
+    def test_real_ordering_lu_gives_the_complex_ones_order(self, make, p,
+                                                           monkeypatch):
+        # a sweep's first shift is complex; the ordering LU at its real part
+        # finds the q that an MMD LU at the shift itself found, so no LU and
+        # no output bit moves
+        sys_ = make()
+        e = sys_.e if sys_.have_e else sp.identity(sys_.order, format="csr")
+        unpermuted = (sys_.a + 1j * e).tocsc()
+        unpermuted.sort_indices()
+        old = lrmor.operators._splu(lrmor.operators._shifted(unpermuted, p),
+                                    "MMD_AT_PLUS_A")
+        made = []
+
+        def recording(m, **kwargs):
+            made.append((kwargs["permc_spec"], np.iscomplexobj(m.data)))
+            return splu(m, **kwargs)
+
+        monkeypatch.setattr(lrmor.operators, "splu", recording)
+        OperatorSet(sys_).sol_ape("N", p, "N", sys_.b)
+        np.testing.assert_array_equal(sys_.lu_cache._symbolic["order"],
+                                      np.argsort(old.perm_c))
+        assert made == [("MMD_AT_PLUS_A", False), ("NATURAL", True)]
+
+    def test_singular_real_part_orders_at_the_shift(self, permc_specs):
+        # A + Re(p) I = A is singular, A + pI is not: the ordering LU falls
+        # back to the shift's own matrix
+        a = sp.diags([0.0, -1.0, -2.0], format="csr")
+        sys_ = LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3)))
+        x = OperatorSet(sys_).sol_ape("N", 1j, "N", np.ones(3))
+        np.testing.assert_allclose(x, 1.0 / (np.array([0.0, -1.0, -2.0])
+                                             + 1j), rtol=1e-15)
+        assert permc_specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
 
     def test_no_lu_depends_on_the_first_shift(self):
         # the ordering is the pattern's: each shift's solve has the same

@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from lrmor import (BenchConfig, ParametricSystem, SolverError, TrainingSet,
-                   bspline2_coefficients, chebyshev_samples,
+from lrmor import (BenchConfig, ParametricSystem, Rom, SolverError,
+                   TrainingSet, bspline2_coefficients, chebyshev_samples,
                    gen_thermal_block_mini, interpolatory_assemble,
                    lagrange_coefficients, log_samples, piecewise_assemble,
                    stability_check, train, transfer_eval)
@@ -159,6 +162,55 @@ class TestTransferOverPoints:
             assert h.shape == (len(points),) + prom.transfer(mu, 1j).shape
             np.testing.assert_array_equal(
                 h, np.stack([prom.transfer(mu, s) for s in points]))
+
+
+    @pytest.mark.parametrize("kind", ["lagrange", "bspline2"])
+    def test_interpolatory_shared_solve_is_a_fresh_one(self, ts_bt, kind):
+        # every instantiation reads the interpolant's kept solve; its values
+        # are those of a plain Rom on the same matrices, which solves anew
+        prom = interpolatory_assemble(ts_bt, kind)
+        points = 1j * np.logspace(-3, 3, 9)
+        for mu in (2e-6, 0.3, 50.0):
+            for s in (points, points[4]):
+                blend = prom.instantiate(mu)
+                plain = Rom(e=blend.e, a=blend.a, b=blend.b, c=blend.c,
+                            d=blend.d)
+                np.testing.assert_array_equal(blend.transfer(s),
+                                              plain.transfer(s))
+
+    def test_interpolatory_memo_under_thread_contention(self, ts_bt):
+        # eight threads share one interpolant and cycle three points
+        # vectors, so its one kept solve changes hands constantly; a row
+        # built on another vector's solve would break the equality
+        prom = interpolatory_assemble(ts_bt, "lagrange")
+        vectors = [1j * np.logspace(-3, 3, 5 + k) for k in range(3)]
+        mus = (2e-6, 0.3, 50.0)
+        expected = {(i, j): Rom(**{f: getattr(prom.instantiate(mu), f)
+                                   for f in "eabcd"}).transfer(points)
+                    for i, mu in enumerate(mus)
+                    for j, points in enumerate(vectors)}
+        failures = []
+
+        def work(t):
+            for k in range(60):
+                i, j = (t + k) % 3, (t + 2 * k) % 3
+                h = prom.transfer(mus[i], vectors[j])
+                if not np.array_equal(h, expected[i, j]):
+                    failures.append((t, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestCoefficients:

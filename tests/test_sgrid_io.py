@@ -258,6 +258,35 @@ class TestParallelSweep:
         # only the singular case, the one 3 x 4 grid, has NaN cells
         assert np.isnan(serial).any() == (serial.shape == (3, 4))
 
+    def test_interpolatory_sweep_solves_once_per_point(self, training,
+                                                       monkeypatch):
+        # the block pencil does not depend on mu: a k x k grid makes one
+        # dense LU per point, not per cell, with one worker and with two
+        calls = []
+        original = lrmor.mor.la.get_lapack_funcs
+
+        def counting(names, arrays=()):
+            getrf, getrs = original(names, arrays)
+
+            def counted(*args, **kwargs):
+                calls.append(None)
+                return getrf(*args, **kwargs)
+
+            counted.dtype = getrf.dtype
+            return counted, getrs
+
+        monkeypatch.setattr(lrmor.mor.la, "get_lapack_funcs", counting)
+        k = 6
+        mus, omegas = np.logspace(-6, 2, k), np.logspace(-4, 4, k)
+        grids = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda c=cpus: c)
+            del calls[:]
+            grids.append(sigma_grid(interpolatory_assemble(training),
+                                    mus=mus, omegas=omegas).values)
+            assert len(calls) == k
+        np.testing.assert_array_equal(grids[0], grids[1])
+
     def test_instantiate_in_caller_transfer_on_workers(self, monkeypatch):
         monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
         model, mus = RecordingModel(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
