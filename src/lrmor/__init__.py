@@ -3,8 +3,7 @@
 
 from .benchmarks import BenchConfig, gen_fd_laplacian, gen_thermal_block_mini
 from .equations import (LowRankFactor, LyapunovSpec, ResidualReport,
-                        RiccatiSpec, dense_are_solve, dense_lyap_solve,
-                        lyap_residual, riccati_residual, stability_check)
+                        RiccatiSpec, lyap_residual, riccati_residual)
 from .errors import SingularOperatorError, SolverError
 from .lradi import (AdiOptions, AdiResult, ShiftSet, heuristic_shifts,
                     lr_adi, projection_shifts)

@@ -1,4 +1,4 @@
-"""Equation descriptors, factored residuals and dense desk-scale oracles.
+"""Equation descriptors and factored residuals.
 
 The continuous-time equations come in dual pairs.  ``side="N"`` selects the
 controllability equation (constant term built from B), ``side="T"`` the
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .errors import SingularOperatorError, SolverError
 from .operators import OperatorSet
 from .system import LtiSystem
 
@@ -169,129 +166,3 @@ def riccati_residual(spec: RiccatiSpec, zf: LowRankFactor) -> ResidualReport:
     sys_ = spec.system
     return _factored_residual(spec, zf,
                               quad=sys_.b if spec.side == "T" else sys_.c.T)
-
-
-# -- dense oracles -----------------------------------------------------------
-
-_ORACLE_CAP = 200
-_DENSE_KRON_CAP = 60
-
-
-def dense_lyap_solve(e, a, g) -> np.ndarray:
-    """Solve A P E^T + E P A^T + G G^T = 0 by Kronecker vectorization.
-
-    The n^2 x n^2 system (E (x) A + A (x) E) vec(P) = -vec(G G^T) is set up
-    explicitly and solved directly; ``e=None`` means the identity.  Intended
-    as an independent desk-scale oracle, n <= 200 (n <= 60 for dense input).
-    Raises :class:`SolverError` when the pencil has a mirrored eigenvalue
-    pair (singular Kronecker system).
-    """
-    sparse_in = sp.issparse(a) or sp.issparse(e)
-    a_s = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.atleast_2d(a))
-    n = a_s.shape[0]
-    if n > _ORACLE_CAP:
-        raise ValueError(f"oracle limited to n <= {_ORACLE_CAP}, got {n}")
-    if not sparse_in and n > _DENSE_KRON_CAP:
-        raise ValueError(
-            f"dense input limited to n <= {_DENSE_KRON_CAP}, got {n}")
-    if e is None:
-        e_s = sp.identity(n, format="csr")
-    else:
-        e_s = e.tocsr() if sp.issparse(e) else sp.csr_matrix(np.atleast_2d(e))
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    if g.shape[0] != n:
-        raise ValueError("right-hand-side factor has wrong row count")
-    rhs = -(g @ g.T).ravel(order="F")
-    kron = (sp.kron(e_s, a_s) + sp.kron(a_s, e_s)).tocsc()
-    try:
-        x = splu(kron).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(
-            "singular Kronecker system: pencil has a mirrored eigenvalue "
-            "pair") from exc
-    if not np.isfinite(x).all():
-        raise SolverError("Kronecker solve produced non-finite values")
-    p = x.reshape((n, n), order="F")
-    asym = np.abs(p - p.T).max()
-    scale = max(np.abs(p).max(), 1.0)
-    if asym > 1e-10 * scale:
-        raise SolverError(f"oracle solution not symmetric (defect {asym:.2e})")
-    return (p + p.T) / 2.0
-
-
-def _dense_lyap_newton_step(e, a, g):
-    # Bartels-Stewart on the E-reduced equation; inner engine of the dense
-    # Riccati Newton iteration (the Kronecker oracle is too slow once the
-    # closed-loop matrix goes dense).
-    if e is None:
-        f, h = a, g
-    else:
-        f = la.solve(e, a)
-        h = la.solve(e, g)
-    p = la.solve_continuous_lyapunov(f, -(h @ h.T))
-    return (p + p.T) / 2.0
-
-
-def dense_are_solve(e, a, b, c, max_steps: int = 50,
-                    tol: float = 1e-12) -> np.ndarray:
-    """Stabilizing solution Q of the observability-side Riccati equation.
-
-        A^T Q E + E^T Q A + C^T C - E^T Q B B^T Q E = 0
-
-    Dense Newton iteration started from Q = 0, valid for stable pencils;
-    the closed loop A - B B^T Q E is verified stable before returning.
-    """
-    a_d = a.toarray() if sp.issparse(a) else np.atleast_2d(np.asarray(a, float))
-    e_d = None if e is None else (
-        e.toarray() if sp.issparse(e) else np.atleast_2d(np.asarray(e, float)))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    n = a_d.shape[0]
-    if n > _ORACLE_CAP:
-        raise ValueError(f"oracle limited to n <= {_ORACLE_CAP}, got {n}")
-    stable, abscissa = stability_check(e_d, a_d)
-    if not stable:
-        raise SolverError(
-            f"dense Riccati oracle requires a stable pencil (abscissa "
-            f"{abscissa:.3e}); unstable initialization is unsupported")
-    ref = spectral_norm(c) ** 2
-    if ref == 0.0:
-        return np.zeros((n, n))
-    ed = np.eye(n) if e_d is None else e_d
-    q = np.zeros((n, n))
-    for _ in range(max_steps):
-        k = b.T @ q @ ed
-        acl = a_d - b @ k
-        g = np.hstack([c.T, k.T])
-        # observability-side step equation == controllability form on the
-        # transposed data
-        q = _dense_lyap_newton_step(None if e_d is None else ed.T, acl.T, g)
-        res = a_d.T @ q @ ed + ed.T @ q @ a_d + c.T @ c \
-            - ed.T @ q @ b @ (b.T @ q @ ed)
-        if spectral_norm(res) <= tol * ref:
-            break
-    else:
-        raise SolverError(f"dense Riccati Newton: no convergence in "
-                          f"{max_steps} steps")
-    closed, _ = stability_check(e_d, a_d - b @ (b.T @ q @ ed))
-    if not closed:
-        raise SolverError("dense Riccati oracle: closed loop not stable")
-    return q
-
-
-def stability_check(e, a):
-    """Whether all generalized eigenvalues of (A, E) lie in the open left
-    half-plane; returns ``(stable, spectral_abscissa)``."""
-    a_d = a.toarray() if sp.issparse(a) else np.atleast_2d(np.asarray(a, float))
-    if e is None:
-        lam = la.eigvals(a_d)
-    else:
-        e_d = e.toarray() if sp.issparse(e) else np.atleast_2d(
-            np.asarray(e, float))
-        lam = la.eigvals(a_d, e_d)
-    if not np.isfinite(lam).all():
-        raise SingularOperatorError(
-            "singular E: pencil has infinite eigenvalues")
-    abscissa = float(lam.real.max())
-    return abscissa < 0.0, abscissa
-

@@ -8,5 +8,5 @@ class SingularOperatorError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """An iteration failed to produce a usable result (non-convergence of a
-    dense oracle, unstable closed loop, diverged training sample, ...)."""
+    """An iteration failed to produce a usable result (diverged ADI or RADI
+    iteration, unconverged Gramian, failed training sample, ...)."""

@@ -15,8 +15,9 @@ replaced by the nearest shift q the run has already taken, if q has p's
 width (real or conjugate pair) and |p - q| <= 0.2 |p|, so the LU of A + qE
 serves again.  Every step stays an exact ADI step with a stable shift; only
 the rate of convergence can change.  A Ritz-value-based heuristic set
-computed once from Arnoldi runs with A and A^{-1} is available as the
-fallback and as an explicit strategy.
+computed once from Arnoldi runs with A and A^{-1} is the fallback, and
+``AdiOptions(shifts=heuristic_shifts(OperatorSet(system)))`` cycles it as a
+fixed pool.
 
 A run takes its shifts from outside one step at a time; :func:`lr_adi` and
 :func:`_gramian_pair` (both Gramians on one schedule) drive runs.
@@ -39,6 +40,10 @@ _REAL_TOL = 1e-13
 
 # relative radius within which a projection shift gives way to an earlier one
 _REUSE = 0.2
+
+# projection shifts taken per batch, and solve blocks the next batch projects
+# onto
+_BATCH = 6
 
 
 def _width(p) -> int:
@@ -73,23 +78,27 @@ class ShiftSet:
         return len(self.values)
 
 
+def _as_pool(shifts) -> ShiftSet | None:
+    """``shifts`` as a non-empty :class:`ShiftSet`; ``None`` stays."""
+    if shifts is None:
+        return None
+    if not isinstance(shifts, ShiftSet):
+        shifts = ShiftSet(np.asarray(shifts))
+    if len(shifts) == 0:
+        raise ValueError("the shift pool is empty")
+    return shifts
+
+
 @dataclass
 class AdiOptions:
     max_iterations: int = 200
     rel_tolerance: float = 1e-10
-    shift_strategy: str = "projection"  # or "heuristic"
-    shift_batch: int = 6
-    shifts: ShiftSet | None = None  # fixed pool, cycled; overrides strategy
+    shifts: ShiftSet | None = None  # fixed pool, cycled; else projection
 
     def __post_init__(self):
         if self.rel_tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.shift_batch < 1:
-            raise ValueError("shift_batch must be >= 1")
-        if self.shift_strategy not in ("projection", "heuristic"):
-            raise ValueError(f"unknown shift strategy {self.shift_strategy!r}")
-        if self.shifts is not None and not isinstance(self.shifts, ShiftSet):
-            self.shifts = ShiftSet(np.asarray(self.shifts))
+        self.shifts = _as_pool(self.shifts)
 
 
 @dataclass
@@ -229,17 +238,6 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10) -> ShiftSet:
     return ShiftSet(_conjugate_close(np.asarray(chosen)))
 
 
-def shift_pool(ops: OperatorSet, opts: AdiOptions) -> ShiftSet | None:
-    """The fixed pool an LR-ADI run with ``opts`` cycles: the given
-    ``shifts``, else the heuristic set of ``max(shift_batch, 10)`` shifts
-    for the heuristic strategy, else ``None`` (projection shifts)."""
-    if opts.shifts is not None:
-        return opts.shifts
-    if opts.shift_strategy == "heuristic":
-        return heuristic_shifts(ops, num=max(opts.shift_batch, 10))
-    return None
-
-
 def _reuse(p, taken: list):
     """The shift in ``taken`` nearest to ``p`` of p's width within
     ``_REUSE`` |p|, else ``p``, which then joins ``taken``."""
@@ -251,27 +249,26 @@ def _reuse(p, taken: list):
     return p
 
 
-def _schedule(ops: OperatorSet, opts: AdiOptions, w):
+def _schedule(ops: OperatorSet, pool: ShiftSet | None, w):
     """Yields ``(shift, width)`` for each ADI step and takes the step's solve
-    block back by ``send``.  A pool from :func:`shift_pool` is cycled.
-    Otherwise each batch holds the projection shifts of the latest
-    ``shift_batch`` solve blocks (of ``w`` at first), renewed when it runs
-    out or after ``shift_batch`` iterations, and each batch shift yields to
-    the nearest shift this schedule has already yielded, if that shift has
-    the same width and lies within ``_REUSE`` = 0.2 times its modulus."""
-    pool = shift_pool(ops, opts)
+    block back by ``send``.  A ``pool`` is cycled.  Without one, each batch
+    holds the projection shifts of the latest ``_BATCH`` = 6 solve blocks
+    (of ``w`` at first), renewed when it runs out or after ``_BATCH``
+    iterations, and each batch shift yields to the nearest shift this
+    schedule has already yielded, if that shift has the same width and lies
+    within ``_REUSE`` = 0.2 times its modulus."""
     if pool is not None:
         i = 0
         while True:
             yield pool.values[i], _width(pool.values[i])
             i = (i + _width(pool.values[i])) % len(pool)
-    recent = deque(maxlen=opts.shift_batch)
+    recent = deque(maxlen=_BATCH)
     taken = []
     basis = w
     while True:
         batch = projection_shifts(ops, basis).values
         i = 0
-        while i < min(len(batch), opts.shift_batch):
+        while i < min(len(batch), _BATCH):
             p = _reuse(batch[i], taken)
             recent.append((yield p, _width(p)))
             i += _width(batch[i])
@@ -352,7 +349,7 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     not finite raises :class:`SolverError`: the iteration diverged.
     """
     run = _AdiRun(OperatorSet(spec.system), spec.side, opts or AdiOptions())
-    schedule, block = _schedule(run.ops, run.opts, run.w), None
+    schedule, block = _schedule(run.ops, run.opts.shifts, run.w), None
     while not run.done:
         block = run.step(*schedule.send(block))
     return run.result()
@@ -366,15 +363,15 @@ def _gramian_pair(system, opts: AdiOptions) -> tuple[AdiResult, AdiResult]:
     latest blocks, which reuses only the shifts it has yielded itself."""
     ops = OperatorSet(system)
     runs = _AdiRun(ops, "N", opts), _AdiRun(ops, "T", opts)
-    schedule, block = _schedule(ops, opts, runs[0].w), None
+    schedule, block = _schedule(ops, opts.shifts, runs[0].w), None
     recent = []
     while not runs[0].done:
         shift = schedule.send(block)
         block = runs[0].step(*shift)
         if not runs[1].done:
             recent.append(runs[1].step(*shift))
-    basis = np.hstack(recent[-opts.shift_batch:] or [runs[1].w])
-    schedule, block = _schedule(ops, opts, basis), None
+    basis = np.hstack(recent[-_BATCH:] or [runs[1].w])
+    schedule, block = _schedule(ops, opts.shifts, basis), None
     while runs[0].converged and not runs[1].done:
         block = runs[1].step(*schedule.send(block))
     return runs[0].result(), runs[1].result()

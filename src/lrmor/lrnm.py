@@ -21,8 +21,7 @@ on the real basis [Re V, Im V].  Side "N" runs on the transposed system.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -30,25 +29,24 @@ import scipy.linalg as la
 from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
                         riccati_residual, spectral_norm)
 from .errors import SolverError
-from .lradi import AdiOptions, _schedule, shift_pool
+from .lradi import ShiftSet, _as_pool, _schedule, heuristic_shifts
 from .operators import OperatorSet
 
 
 @dataclass
 class NewtonOptions:
-    """Options of :func:`lr_newton`: ``inner`` gives the shifts and the step
-    budget ``inner.max_iterations``, not the tolerance.  By default one pool
-    of ``max(shift_batch, 10)`` heuristic shifts of the pencil is cycled,
-    one LU per shift; ``shift_strategy="projection"`` takes projection
-    shifts of the latest solve blocks instead."""
+    """Options of :func:`lr_newton`: the tolerance, the step budget and the
+    pool of shifts that is cycled, one LU per shift.  Without ``shifts`` the
+    pool is the 10 heuristic shifts of the pencil."""
 
     rel_tolerance: float = 1e-10
-    inner: AdiOptions = field(
-        default_factory=lambda: AdiOptions(shift_strategy="heuristic"))
+    max_iterations: int = 200
+    shifts: ShiftSet | None = None
 
     def __post_init__(self):
         if self.rel_tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        self.shifts = _as_pool(self.shifts)
 
 
 @dataclass
@@ -111,14 +109,13 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
     if c_norm == 0.0:
         return NewtonResult(LowRankFactor.empty(n), k.T, [0.0], True)
 
-    pool = shift_pool(ops, opts.inner)
-    inner = dataclasses.replace(opts.inner, shifts=pool)
-    schedule, block = _schedule(ops, inner, r), None
+    pool = opts.shifts if opts.shifts is not None else heuristic_shifts(ops)
+    schedule, block = _schedule(ops, pool, r), None
     zblocks, residuals, it = [], [1.0], 0
     # the pencil keeps every pool shift (and A, E) for the whole iteration
-    with system.lu_cache.holding(0 if pool is None else len(pool) + 2):
+    with system.lu_cache.holding(len(pool) + 2):
         while residuals[-1] > opts.rel_tolerance \
-                and it < inner.max_iterations:
+                and it < opts.max_iterations:
             s, width = schedule.send(block)
             v = np.sqrt(-2.0 * s.real) * loop.sol_ape(
                 "T", s.real if width == 1 else s, "T", r)

@@ -179,6 +179,12 @@ class IrkaOptions:
     initial_b: np.ndarray | None = None  # (r, m) tangential input directions
     initial_c: np.ndarray | None = None  # (r, p) tangential output directions
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not self.shift_change_tol > 0:
+            raise ValueError("shift_change_tol must be positive")
+
 
 @dataclass
 class IrkaResult:
@@ -328,17 +334,16 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
     sigma, b_dirs, c_dirs = _default_irka_data(system, r)
     if opts.initial_shifts is not None:
         sigma = np.asarray(opts.initial_shifts, dtype=complex)
-        if len(sigma) != r:
-            raise ValueError("initial shift count must equal r")
     if opts.initial_b is not None:
         b_dirs = np.asarray(opts.initial_b, dtype=complex)
     if opts.initial_c is not None:
         c_dirs = np.asarray(opts.initial_c, dtype=complex)
+    if not len(sigma) == len(b_dirs) == len(c_dirs) == r:
+        raise ValueError("initial_shifts, initial_b and initial_c must have "
+                         "r rows")
 
     converged = False
     history = []
-    rom = None
-    n_iter = 0
     next_data = (sigma, b_dirs, c_dirs)
     ops = OperatorSet(system)
     for n_iter in range(1, opts.max_iter + 1):

@@ -65,8 +65,9 @@ if TYPE_CHECKING:  # system.py imports this module
 
 _TRANS = ("N", "T")
 
-# LUs one pencil keeps: a default heuristic pool of 10 shifts plus A and E,
-# so a Riccati iteration cycling that pool never refactorizes
+# LUs one pencil keeps: lr_newton's default pool of 10 heuristic shifts plus
+# A and E, so a Riccati iteration cycling that pool never refactorizes (a
+# larger pool is held for the iteration by LuCache.holding)
 MAX_LUS = 12
 
 # SuperLU supernode relaxation and panel size: column-wise LUs (see the

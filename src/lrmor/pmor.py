@@ -100,8 +100,7 @@ class TrainingSet:
 
 
 def train(psys: ParametricSystem, samples, method: str, tol: float = 1e-4,
-          order: int = 20, adi_options=None, sampling_rule: str = "custom"
-          ) -> TrainingSet:
+          order: int = 20, sampling_rule: str = "custom") -> TrainingSet:
     """Reduce the system at each training sample with the chosen local
     method.  IRKA runs are warm-started from the previous sample's shifts
     and tangential directions."""
@@ -114,11 +113,9 @@ def train(psys: ParametricSystem, samples, method: str, tol: float = 1e-4,
         sys_mu = psys.instantiate(mu)
         try:
             if method == "bt-tol":
-                rom, info = balanced_truncation(sys_mu, tol=tol,
-                                                adi_options=adi_options)
+                rom, info = balanced_truncation(sys_mu, tol=tol)
             elif method == "bt-fixed":
-                rom, info = balanced_truncation(sys_mu, order=order,
-                                                adi_options=adi_options)
+                rom, info = balanced_truncation(sys_mu, order=order)
             else:
                 opts = IrkaOptions()
                 if prev_irka is not None:

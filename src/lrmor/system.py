@@ -163,12 +163,5 @@ class LtiSystem:
                          e=self.e.T if self.have_e else None,
                          d=self.d.T, u=u, v=v)
 
-    def dense_a_eff(self) -> np.ndarray:
-        """Densified A + U V^T.  Small systems and tests only."""
-        a = self.a.toarray()
-        if self.have_uv:
-            a = a + self.u @ self.v.T
-        return a
-
     def dense_e(self) -> np.ndarray:
         return self.e.toarray() if self.have_e else np.eye(self.order)

@@ -13,15 +13,13 @@ import scipy.linalg as la
 
 from lrmor import (AdiOptions, BenchConfig, LtiSystem, LyapunovSpec,
                    OperatorSet, RiccatiSpec, balanced_truncation, br_transform,
-                   chebyshev_samples, dense_are_solve,
-                   dense_lyap_solve, gen_fd_laplacian, gen_thermal_block_mini,
+                   chebyshev_samples, gen_fd_laplacian, gen_thermal_block_mini,
                    interpolatory_assemble, irka, log_samples, lqg_transform,
                    lr_adi, lr_newton, piecewise_assemble, pr_transform,
-                   read_grid_csv, sigma_error_grid, stability_check, train,
-                   transfer_eval)
+                   read_grid_csv, sigma_error_grid, train, transfer_eval)
 from lrmor.cli import main as cli_main
-from referees import (closed_loop_check, transformed_residual,
-                      variant_residual)
+from referees import (closed_loop_check, dense_are_solve, dense_lyap_solve,
+                      stability_check, transformed_residual, variant_residual)
 
 from conftest import pair_sorted, random_stable_system, scalar_system
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from lrmor import (BenchConfig, gen_fd_laplacian, gen_thermal_block_mini,
-                   stability_check)
-from referees import loop_fd_laplacian, loop_thermal_block
+from lrmor import BenchConfig, gen_fd_laplacian, gen_thermal_block_mini
+from referees import loop_fd_laplacian, loop_thermal_block, stability_check
 
 
 def assert_same_bits(got, want):

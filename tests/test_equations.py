@@ -3,16 +3,16 @@ import pytest
 import scipy.linalg as la
 
 from lrmor import (LowRankFactor, LyapunovSpec, RiccatiSpec,
-                   SingularOperatorError, SolverError, dense_are_solve,
-                   dense_lyap_solve, lyap_residual, riccati_residual,
-                   stability_check)
-from referees import spsd_factor
+                   SingularOperatorError, SolverError, lyap_residual,
+                   riccati_residual)
+from referees import (dense_a_eff, dense_are_solve, dense_lyap_solve,
+                      spsd_factor, stability_check)
 
 from conftest import random_stable_system, scalar_system
 
 
 def dense_lyap_res(sys_, z, side):
-    a = sys_.dense_a_eff()
+    a = dense_a_eff(sys_)
     e = sys_.dense_e()
     p = z @ z.T
     if side == "N":
@@ -21,7 +21,7 @@ def dense_lyap_res(sys_, z, side):
 
 
 def dense_ricc_res(sys_, z, side):
-    a = sys_.dense_a_eff()
+    a = dense_a_eff(sys_)
     e = sys_.dense_e()
     q = z @ z.T
     b, c = sys_.b, sys_.c

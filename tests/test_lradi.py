@@ -5,9 +5,10 @@ import scipy.linalg as la
 import lrmor.lradi
 from lrmor import (AdiOptions, BenchConfig, LowRankFactor, LtiSystem,
                    LyapunovSpec, OperatorSet, ShiftSet, SingularOperatorError,
-                   SolverError, balanced_truncation, dense_lyap_solve,
-                   gen_fd_laplacian, gen_thermal_block_mini, heuristic_shifts,
-                   lr_adi, lyap_residual, projection_shifts)
+                   SolverError, balanced_truncation, gen_fd_laplacian,
+                   gen_thermal_block_mini, heuristic_shifts, lr_adi,
+                   lyap_residual, projection_shifts)
+from referees import dense_a_eff, dense_lyap_solve
 
 from conftest import random_stable_system, scalar_system, unstable_fd_system
 
@@ -72,7 +73,7 @@ class TestHeuristicShifts:
 
     def test_drives_adi(self, fd7):
         res = lr_adi(LyapunovSpec(fd7, "N"),
-                     AdiOptions(shift_strategy="heuristic"))
+                     AdiOptions(shifts=heuristic_shifts(OperatorSet(fd7))))
         assert res.converged
 
 
@@ -177,6 +178,11 @@ class TestLrAdi:
             lr_adi(LyapunovSpec(scalar_system(), "N"),
                    AdiOptions(shifts=[0.5]))
 
+    @pytest.mark.parametrize("shifts", [[], ShiftSet(np.zeros(0))])
+    def test_empty_shift_pool_rejected(self, shifts):
+        with pytest.raises(ValueError, match="empty"):
+            AdiOptions(shifts=shifts)
+
     def test_monitor_identity_side_t_with_update(self, rng):
         # the Newton step equation's shape: side T, coefficient A + U V^T
         base = complex_spectrum_system(rng, n=24)
@@ -198,7 +204,7 @@ class TestLrAdi:
         u = 0.1 * rng.standard_normal((12, 2))
         v = rng.standard_normal((12, 2))
         splr = base.with_update(u, v)
-        a_eff = splr.dense_a_eff()
+        a_eff = dense_a_eff(splr)
         stable, _ = la.eig(a_eff)[0].real.max() < 0, None
         assert stable
         dense_sys = LtiSystem(a=a_eff, b=base.b, c=base.c)
@@ -215,15 +221,17 @@ class TestLrAdi:
     def test_divergence_raises_solver_error(self, strategy):
         # every eigenvalue is unstable: the residual grows until its norm
         # overflows, which must name the divergence, not leak OverflowError
+        sys_ = unstable_fd_system()
+        shifts = heuristic_shifts(OperatorSet(sys_)) \
+            if strategy == "heuristic" else None
         with pytest.raises(SolverError, match="diverged"):
-            lr_adi(LyapunovSpec(unstable_fd_system(), "N"),
-                   AdiOptions(shift_strategy=strategy))
+            lr_adi(LyapunovSpec(sys_, "N"), AdiOptions(shifts=shifts))
 
 
 class TestShiftSchedule:
     """Which shift each ADI step takes: a fixed pool is cycled with its
     conjugate pairs whole, projection shifts are renewed when a batch runs
-    out or after ``shift_batch`` iterations."""
+    out or after ``_BATCH`` iterations."""
 
     @pytest.mark.parametrize("max_iterations, count", [(7, 7), (9, 10)])
     def test_pool_wraps_with_pairs_intact(self, fd7, max_iterations, count):
@@ -252,10 +260,10 @@ class TestShiftSchedule:
             return out
 
         monkeypatch.setattr(lrmor.lradi, "projection_shifts", recording)
+        monkeypatch.setattr(lrmor.lradi, "_BATCH", batch)
         sys_ = complex_spectrum_system(rng)
         res = lr_adi(LyapunovSpec(sys_, "N"),
-                     AdiOptions(shift_batch=batch, max_iterations=40,
-                                rel_tolerance=1e-300))
+                     AdiOptions(max_iterations=40, rel_tolerance=1e-300))
         # replay: each batch serves min(len, batch) shifts, rounded up to
         # a whole pair, before the next one is made; a batch shift gives way
         # to the nearest shift of its width already taken within _REUSE of

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from lrmor import (AdiOptions, LowRankFactor, LtiSystem, NewtonOptions,
-                   OperatorSet, RiccatiSpec, SolverError, dense_are_solve,
-                   gen_fd_laplacian, lqg_transform, lr_newton,
+from lrmor import (LowRankFactor, LtiSystem, NewtonOptions, OperatorSet,
+                   RiccatiSpec, SolverError, gen_fd_laplacian,
+                   heuristic_shifts, lqg_transform, lr_newton,
                    riccati_residual)
-from lrmor.lradi import shift_pool
 from lrmor.operators import MAX_LUS
-from referees import closed_loop_check
+from referees import closed_loop_check, dense_a_eff, dense_are_solve
 
 from conftest import random_stable_system, scalar_system, unstable_fd_system
 
@@ -95,15 +94,12 @@ class TestLrNewton:
     def test_max_steps_returns_unconverged(self, fd7):
         res = lr_newton(RiccatiSpec(fd7, "T"),
                         NewtonOptions(rel_tolerance=1e-14,
-                                      inner=AdiOptions(
-                                          shift_strategy="heuristic",
-                                          max_iterations=1)))
+                                      max_iterations=1))
         assert not res.converged
 
     def test_step_budget_exhausted_returns_unconverged(self, fd7):
         spec = RiccatiSpec(fd7, "T")
-        opts = NewtonOptions(inner=AdiOptions(shift_strategy="heuristic",
-                                              max_iterations=2))
+        opts = NewtonOptions(max_iterations=2)
         res = lr_newton(spec, opts)
         assert not res.converged
         assert len(res.newton_residuals) == 3
@@ -120,15 +116,15 @@ class TestLrNewton:
         tr = lqg_transform(sys_)
         res = lr_newton(RiccatiSpec(tr.system, "T"))
         assert res.converged
-        q_ref = dense_are_solve(tr.system.e, tr.system.dense_a_eff(),
+        q_ref = dense_are_solve(tr.system.e, dense_a_eff(tr.system),
                                 tr.system.b, tr.system.c)
         err = np.linalg.norm(res.z.dense() - q_ref, 2)
         assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
 
     def test_one_shift_pool_factorizes_once_per_shift(self, lu_count):
-        # bound: the heuristic pool (max(shift_batch, 10) = 10 shifts) plus
-        # A and E, however many RADI steps run; grid 14 (n = 196) is the
-        # largest FD model the dense oracle accepts
+        # bound: the heuristic pool (10 shifts) plus A and E, however many
+        # RADI steps run; grid 14 (n = 196) is the largest FD model the
+        # dense oracle accepts
         fd14 = gen_fd_laplacian(14)
         res = lr_newton(RiccatiSpec(fd14, "T"))
         assert res.converged
@@ -143,10 +139,9 @@ class TestLrNewton:
         # bound: a pool of 14 shifts (more than MAX_LUS holds with A and E)
         # still factorizes once per shift, and clearing the cache before
         # every shifted solve changes no bit of the result
-        opts = NewtonOptions(inner=AdiOptions(shift_strategy="heuristic",
-                                              shift_batch=14))
         fd30 = gen_fd_laplacian(30)
-        pool = shift_pool(OperatorSet(fd30), opts.inner)
+        pool = heuristic_shifts(OperatorSet(fd30), num=14)
+        opts = NewtonOptions(shifts=pool)
         made = lu_count()
         res = lr_newton(RiccatiSpec(fd30, "T"), opts)
         assert res.converged
@@ -169,7 +164,7 @@ class TestLrNewton:
         sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)
         pool = [-1.0 + 2.0j, -1.0 - 2.0j, -3.0]
         res = lr_newton(RiccatiSpec(sys_, "T"),
-                        NewtonOptions(inner=AdiOptions(shifts=pool)))
+                        NewtonOptions(shifts=pool))
         assert res.converged
         # the pencil's ordering LU, then the pool's two: one complex for
         # the pair, one real
@@ -190,13 +185,20 @@ class TestLrNewton:
         assert res.converged
         assert res.z.columns == p * (len(res.newton_residuals) - 1)
 
-    def test_projection_strategy_still_converges(self, fd7):
-        res = lr_newton(RiccatiSpec(fd7, "T"),
-                        NewtonOptions(inner=AdiOptions()))
-        assert res.converged
-        q_ref = dense_are_solve(None, fd7.a, fd7.b, fd7.c)
-        err = np.linalg.norm(res.z.dense() - q_ref, 2)
-        assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+    def test_step_budget_keeps_the_default_pool(self):
+        # a smaller budget cycles the same heuristic pool, so its Z is the
+        # leading columns of the default run's Z, bit for bit
+        full = lr_newton(RiccatiSpec(gen_fd_laplacian(10), "T"))
+        short = lr_newton(RiccatiSpec(gen_fd_laplacian(10), "T"),
+                          NewtonOptions(max_iterations=5))
+        assert not short.converged and full.z.columns > short.z.columns > 0
+        np.testing.assert_array_equal(short.z.z,
+                                      full.z.z[:, :short.z.columns])
+
+    @pytest.mark.parametrize("shifts", [[], np.zeros(0)])
+    def test_empty_shift_pool_is_rejected(self, shifts):
+        with pytest.raises(ValueError, match="empty"):
+            NewtonOptions(shifts=shifts)
 
 
 class TestClosedLoopCheck:

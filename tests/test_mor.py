@@ -13,13 +13,13 @@ import lrmor
 from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
                    LtiSystem, LyapunovSpec, Rom, OperatorSet, RiccatiSpec,
                    SolverError, balanced_truncation, br_transform,
-                   dense_lyap_solve, gen_fd_laplacian, gen_thermal_block_mini,
-                   heuristic_shifts, irka, lqg_transform, lr_adi, lr_newton,
-                   lyap_residual, pr_transform, project, square_root_method,
-                   stability_check, transfer_eval)
+                   gen_fd_laplacian, gen_thermal_block_mini, heuristic_shifts,
+                   irka, lqg_transform, lr_adi, lr_newton, lyap_residual,
+                   pr_transform, project, square_root_method, transfer_eval)
 from lrmor import mor
 from lrmor.lradi import _gramian_pair
-from referees import spsd_factor, transformed_residual, variant_residual
+from referees import (dense_a_eff, dense_lyap_solve, spsd_factor,
+                      stability_check, transformed_residual, variant_residual)
 
 from conftest import pair_sorted, random_stable_system, scalar_system
 
@@ -76,7 +76,7 @@ class TestTransferEval:
             base = random_stable_system(rng, 8, m=2, p=2, with_e=with_e)
             sys_ = base.with_update(0.1 * rng.standard_normal((8, 1)),
                                     rng.standard_normal((8, 1)))
-            dense = LtiSystem(a=sys_.dense_a_eff(), b=sys_.b, c=sys_.c,
+            dense = LtiSystem(a=dense_a_eff(sys_), b=sys_.b, c=sys_.c,
                               d=sys_.d, e=sys_.e)
             np.testing.assert_allclose(transfer_eval(sys_, 1.0 + 1.0j),
                                        transfer_eval(dense, 1.0 + 1.0j),
@@ -410,6 +410,22 @@ class TestIrka:
             hh = res.rom.transfer(s) @ res.b_dirs[i]
             assert np.linalg.norm(h - hh) <= 1e-8 * np.linalg.norm(h)
 
+    @pytest.mark.parametrize("opts", [{"max_iter": 0},
+                                      {"shift_change_tol": 0.0},
+                                      {"shift_change_tol": np.nan}])
+    def test_options_reject_empty_budget_and_tolerance(self, opts):
+        with pytest.raises(ValueError):
+            IrkaOptions(**opts)
+
+    @pytest.mark.parametrize("field", ["initial_shifts", "initial_b",
+                                       "initial_c"])
+    def test_initial_data_needs_r_rows(self, fd10, field):
+        # two rows at r = 4; a bare IndexError came from the rational basis
+        data = {"initial_shifts": np.array([1.0, 2.0]),
+                "initial_b": np.ones((2, 1)), "initial_c": np.ones((2, 1))}
+        with pytest.raises(ValueError, match="r rows"):
+            irka(fd10, 4, IrkaOptions(**{field: data[field]}))
+
     def test_sparse_plus_low_rank_matches_formed(self, fd10, rng):
         # the update goes through Woodbury, the formed copy through one LU;
         # a tight stopping tolerance lets both runs reach the fixed point
@@ -461,7 +477,7 @@ class TestIrka:
         ops.sol_ape("N", -shift, "N", b)
         start = lu_count()
         near = shift * (1.0 + 1e-3)
-        m = fd10.dense_a_eff() - near * fd10.dense_e()
+        m = dense_a_eff(fd10) - near * fd10.dense_e()
         for tr, mat in (("N", m), ("T", m.T)):
             x = mor._shifted_solve(ops, tr, near, b)
             assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)

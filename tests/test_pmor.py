@@ -8,7 +8,8 @@ from lrmor import (BenchConfig, ParametricSystem, Rom, SolverError,
                    TrainingSet, bspline2_coefficients, chebyshev_samples,
                    gen_thermal_block_mini, interpolatory_assemble,
                    lagrange_coefficients, log_samples, piecewise_assemble,
-                   stability_check, train, transfer_eval)
+                   train, transfer_eval)
+from referees import stability_check
 
 
 @pytest.fixture(scope="module")
