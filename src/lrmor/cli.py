@@ -94,7 +94,7 @@ def _parametric_input(args):
     b, c = read_dense(b), read_dense(c)
     psys = ParametricSystem(a_fn=lambda mu: (a0 + mu * a1).tocsr(),
                             b_fn=lambda mu: b, c_fn=lambda mu: c,
-                            domain=tuple(args.mu_range), a_affine=(a0, a1))
+                            domain=tuple(args.mu_range))
     return psys, cfg
 
 
@@ -194,30 +194,30 @@ def cmd_pmor(args, model):
     """``pmor-piecewise`` and ``pmor-interp``: train, assemble, error grid."""
     psys, cfg = model
     piecewise = args.command == "pmor-piecewise"
-    sample, rule = ((log_samples, "log_equispaced") if piecewise
+    sample, rule = ((log_samples, "log equi-spaced") if piecewise
                     else (chebyshev_samples, "chebyshev"))
     ts = train(psys, sample(*psys.domain, args.samples), args.method,
-               tol=args.tol, order=args.order, sampling_rule=rule)
+               tol=args.tol, order=args.order)
     if piecewise:
         prom = piecewise_assemble(ts, truncation_tol=args.trunc_tol,
                                   one_sided=args.one_sided)
         summary = (f"piecewise ROM order {prom.order} "
                    f"(one_sided={args.one_sided})")
-        variant, rule_text = f"one sided: {args.one_sided}", "log equi-spaced"
+        variant = f"one sided: {args.one_sided}"
         assembly = [f"concatenated columns: {prom.concatenated_columns}",
                     f"order after rank truncation "
                     f"({prom.truncation_tol:.1e}): {prom.order}"]
     else:
         prom = interpolatory_assemble(ts, basis_kind=args.basis)
         summary = f"interpolatory ROM ({args.basis}) order {prom.order}"
-        variant, rule_text, assembly = f"basis: {args.basis}", rule, []
+        variant, assembly = f"basis: {args.basis}", []
     grid = sigma_error_grid(psys, prom, cfg)
     write_grid_csv(grid, os.path.join(args.out, "error_grid.csv"))
     frac = float(np.mean(grid.values[np.isfinite(grid.values)] <= 1e-2))
     print(f"{summary}; relative error <= 1e-2 on {100 * frac:.1f}% of the "
           "grid")
     _write_report(args, [f"method: {args.method}", variant,
-                         f"training samples: {args.samples} ({rule_text})",
+                         f"training samples: {args.samples} ({rule})",
                          f"error grid: {args.grid_points} x "
                          f"{args.grid_points}",
                          f"fraction of cells with relative error <= 1e-2: "

@@ -14,10 +14,11 @@ the most recent solve blocks afterwards).  A new projection shift p is
 replaced by the nearest shift q the run has already taken, if q has p's
 width (real or conjugate pair) and |p - q| <= 0.2 |p|, so the LU of A + qE
 serves again.  Every step stays an exact ADI step with a stable shift; only
-the rate of convergence can change.  A Ritz-value-based heuristic set
-computed once from Arnoldi runs with A and A^{-1} is the fallback, and
-``AdiOptions(shifts=heuristic_shifts(OperatorSet(system)))`` cycles it as a
-fixed pool.
+the rate of convergence can change.  When no Ritz value is stable, all of
+them are reflected across the imaginary axis.  A Ritz-value-based
+heuristic set computed once from Arnoldi runs with A and A^{-1} is the
+alternative: ``AdiOptions(shifts=heuristic_shifts(OperatorSet(system)))``
+cycles it as a fixed pool.
 
 A run takes its shifts from outside one step at a time; :func:`lr_adi` and
 :func:`_gramian_pair` (both Gramians on one schedule) drive runs.
@@ -112,35 +113,26 @@ class AdiResult:
 
 
 def _conjugate_close(values):
-    """Stable ordering with exact conjugate pairs adjacent; lone complex
-    values (numerical strays) are dropped."""
+    """The real values ascending, then each complex value of positive
+    imaginary part, ascending, followed by its exact conjugate.  The values
+    come in conjugate pairs (eigenvalues of real matrices), so the members
+    of negative imaginary part are not read."""
     values = np.asarray(values, dtype=complex)
     real_mask = np.array([_width(v) == 1 for v in values], dtype=bool)
-    out = sorted(values[real_mask].real)
-    out = [complex(v) for v in out]
-    upper = sorted(values[~real_mask & (values.imag > 0)],
-                   key=lambda v: (v.real, v.imag))
-    lower = list(values[~real_mask & (values.imag < 0)])
-    paired = []
-    for v in upper:
-        match = None
-        for i, w in enumerate(lower):
-            if abs(np.conj(v) - w) <= 1e-8 * abs(v):
-                match = i
-                break
-        if match is not None:
-            lower.pop(match)
-            paired.extend([v, np.conj(v)])
-    return np.array(out + paired, dtype=complex)
+    out = [complex(v) for v in sorted(values[real_mask].real)]
+    for v in sorted(values[~real_mask & (values.imag > 0)],
+                    key=lambda v: (v.real, v.imag)):
+        out.extend([v, np.conj(v)])
+    return np.array(out, dtype=complex)
 
 
 def projection_shifts(ops: OperatorSet, basis: np.ndarray) -> ShiftSet:
     """Shifts from the Ritz values of (A, E) projected onto ``basis``.
 
     The basis is orthonormalized first; Ritz values with negative real part
-    are returned conjugate-closed.  If none qualify, the heuristic set takes
-    over (and failing that, unstable Ritz values are reflected across the
-    imaginary axis to keep the iteration running).
+    are returned conjugate-closed.  If none qualify, all Ritz values are
+    reflected across the imaginary axis, as :func:`heuristic_shifts` does
+    with its candidates.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] == 0:
@@ -154,10 +146,6 @@ def projection_shifts(ops: OperatorSet, basis: np.ndarray) -> ShiftSet:
     ritz = ritz[np.isfinite(ritz)]
     stable = ritz[ritz.real < 0]
     if len(stable) == 0:
-        try:
-            return heuristic_shifts(ops)
-        except (SolverError, SingularOperatorError):
-            pass
         reflected = -np.abs(ritz.real) + 1j * ritz.imag
         stable = reflected[reflected.real < 0]
         if len(stable) == 0:

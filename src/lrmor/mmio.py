@@ -36,13 +36,11 @@ def read_dense(path) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
-def load_system(a_path, b_path, c_path, e_path=None, d_path=None
-                ) -> LtiSystem:
+def load_system(a_path, b_path, c_path, e_path=None) -> LtiSystem:
     """Assemble a system from Matrix Market files (sparse E, A; dense
-    B, C, D)."""
+    B, C)."""
     return LtiSystem(
         a=read_matrix(a_path),
         b=read_dense(b_path),
         c=read_dense(c_path),
-        e=None if e_path is None else read_matrix(e_path),
-        d=None if d_path is None else read_dense(d_path))
+        e=None if e_path is None else read_matrix(e_path))

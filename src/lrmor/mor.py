@@ -14,7 +14,7 @@ assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -149,9 +149,7 @@ def square_root_method(zp: LowRankFactor, zq: LowRankFactor,
 
 
 def balanced_truncation(system: LtiSystem, order: int | None = None,
-                        tol: float | None = None,
-                        adi_options: AdiOptions | None = None
-                        ) -> tuple[Rom, HsvReport]:
+                        tol: float | None = None) -> tuple[Rom, HsvReport]:
     """Classic Lyapunov balanced truncation for a stable system.
 
     Both Gramians are solved by LR-ADI at a fixed relative tolerance of
@@ -160,8 +158,7 @@ def balanced_truncation(system: LtiSystem, order: int | None = None,
     both; Q then finishes on a schedule of its own (see
     :func:`~lrmor.lradi._gramian_pair`).  D is copied unchanged.
     """
-    res_p, res_q = _gramian_pair(
-        system, adi_options or AdiOptions(rel_tolerance=1e-10))
+    res_p, res_q = _gramian_pair(system, AdiOptions(rel_tolerance=1e-10))
     if not res_p.converged:
         raise SolverError("controllability Gramian ADI did not converge")
     if not res_q.converged:
@@ -194,7 +191,6 @@ class IrkaResult:
     c_dirs: np.ndarray
     converged: bool
     n_iter: int
-    shift_history: list = field(default_factory=list)
 
 
 def _default_irka_data(system: LtiSystem, r: int):
@@ -215,13 +211,6 @@ def _pair_order(values):
     for i in np.flatnonzero(values.imag > 0):
         key[np.nanargmin(np.abs(values - np.conj(values[i])))] = key[i]
     return np.lexsort((values.imag, key))
-
-
-def _sorted_spectral_data(lam, vl, vr):
-    """Sort the ROM poles by :func:`_pair_order`, so the shifts -lam list
-    each pair positive-imaginary first."""
-    order = _pair_order(lam)
-    return lam[order], vl[:, order], vr[:, order]
 
 
 # IRKA solves a shift within relative distance _NEAR_SHIFT of a cached LU
@@ -343,7 +332,6 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
                          "r rows")
 
     converged = False
-    history = []
     next_data = (sigma, b_dirs, c_dirs)
     ops = OperatorSet(system)
     for n_iter in range(1, opts.max_iter + 1):
@@ -351,7 +339,9 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
         v, w = _rational_basis(ops, system, sigma, b_dirs, c_dirs)
         rom = project(system, _orth_pad(v, r), _orth_pad(w, r))
         lam, vl, vr = la.eig(rom.a, rom.e, left=True, right=True)
-        lam, vl, vr = _sorted_spectral_data(lam, vl, vr)
+        # the shifts -lam then list each pair positive-imaginary first
+        order = _pair_order(lam)
+        lam, vl, vr = lam[order], vl[:, order], vr[:, order]
         new_sigma = -lam
         # keep interpolation points in the right half-plane
         new_sigma = np.where(new_sigma.real < 0,
@@ -367,7 +357,6 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
         new_sorted = new_sigma[_pair_order(new_sigma)]
         change = float(np.max(np.abs(new_sorted - old_sorted)
                               / np.maximum(np.abs(old_sorted), 1e-300)))
-        history.append(change)
         if change <= opts.shift_change_tol:
             converged = True
             break
@@ -375,8 +364,7 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
     # sigma/b_dirs/c_dirs are the data the final bases were built from, so
     # the returned ROM tangentially interpolates at exactly these points
     return IrkaResult(rom=rom, shifts=sigma, b_dirs=b_dirs, c_dirs=c_dirs,
-                      converged=converged, n_iter=n_iter,
-                      shift_history=history)
+                      converged=converged, n_iter=n_iter)
 
 
 # -- balancing-variant Riccati reformulations ---------------------------------
@@ -392,7 +380,6 @@ class BalancingTransform:
     equation).
     """
 
-    variant: str
     system: LtiSystem
     quad_sign: int
     r_factor: np.ndarray
@@ -422,11 +409,10 @@ def pr_transform(system: LtiSystem) -> BalancingTransform:
     ct = la.solve_triangular(r, system.c, trans="T", lower=False)
     tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
                       u=-bt, v=ct.T, lu_cache=system.lu_cache)
-    return BalancingTransform("positive_real", tilde, +1, r, r)
+    return BalancingTransform(tilde, +1, r, r)
 
 
-def _dd_transform(system: LtiSystem, variant: str, sign: int
-                  ) -> BalancingTransform:
+def _dd_transform(system: LtiSystem, sign: int) -> BalancingTransform:
     """Shared body of ``br_transform`` (sign -1) and ``lqg_transform``
     (sign +1): I + sign D D^T stands for their I -/+ D D^T."""
     d = system.d
@@ -441,7 +427,7 @@ def _dd_transform(system: LtiSystem, variant: str, sign: int
     tilde = LtiSystem(a=system.a, b=bt, c=ct, e=system.e, d=d.copy(),
                       u=-sign * (system.b @ d.T), v=v,
                       lu_cache=system.lu_cache)
-    return BalancingTransform(variant, tilde, -sign, r, lf)
+    return BalancingTransform(tilde, -sign, r, lf)
 
 
 def br_transform(system: LtiSystem) -> BalancingTransform:
@@ -450,7 +436,7 @@ def br_transform(system: LtiSystem) -> BalancingTransform:
     R^T R = I - D D^T, L^T L = I - D^T D; Btilde = B L^{-1},
     Ctilde = R^{-T} C, U = B D^T, V^T = (I - D D^T)^{-1} C.
     """
-    return _dd_transform(system, "bounded_real", -1)
+    return _dd_transform(system, -1)
 
 
 def lqg_transform(system: LtiSystem) -> BalancingTransform:
@@ -461,5 +447,5 @@ def lqg_transform(system: LtiSystem) -> BalancingTransform:
     equation is a standard Riccati equation solvable by the low-rank RADI
     iteration with Woodbury-routed solves.
     """
-    return _dd_transform(system, "lqg", +1)
+    return _dd_transform(system, +1)
 

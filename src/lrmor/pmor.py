@@ -33,9 +33,8 @@ _METHODS = ("bt-tol", "bt-fixed", "irka")
 class ParametricSystem:
     """Matrix-valued callbacks over a scalar parameter domain.
 
-    ``e_fn=None`` means the identity for every parameter value.  When the
-    stiffness part has an affine decomposition A(mu) = A0 + mu * A1 it can
-    be recorded in ``a_affine`` for consumers that exploit it.
+    ``e_fn=None`` means the identity for every parameter value.  An affine
+    stiffness A(mu) = A0 + mu * A1 may be recorded as ``a_affine=(A0, A1)``.
     ``instantiate(mu)`` returns the full-order ``LtiSystem`` at ``mu``.
     The sigma sweeps call ``instantiate`` (and so the callbacks) in the
     calling thread only; the ``transfer`` of the system it returns may run
@@ -50,16 +49,17 @@ class ParametricSystem:
     e_fn: Callable | None = None
     a_affine: tuple | None = None
 
-    def check_parameter(self, mu: float):
-        lo, hi = self.domain
-        if not (lo * (1 - 1e-12) <= mu <= hi * (1 + 1e-12)):
-            raise ValueError(f"parameter {mu} outside domain [{lo}, {hi}]")
-
     def instantiate(self, mu: float) -> LtiSystem:
-        self.check_parameter(mu)
+        _check_domain(self.domain, mu)
         return LtiSystem(a=self.a_fn(mu), b=self.b_fn(mu), c=self.c_fn(mu),
                          e=None if self.e_fn is None else self.e_fn(mu),
                          d=None if self.d_fn is None else self.d_fn(mu))
+
+
+def _check_domain(domain, mu):
+    lo, hi = domain
+    if not (lo * (1 - 1e-12) <= mu <= hi * (1 + 1e-12)):
+        raise ValueError(f"parameter {mu} outside domain [{lo}, {hi}]")
 
 
 def log_samples(lo: float, hi: float, k: int) -> np.ndarray:
@@ -84,13 +84,14 @@ class TrainingSet:
     samples: np.ndarray
     roms: list
     infos: list  # HsvReport for BT, IrkaResult for IRKA
-    method: str
-    sampling_rule: str = "custom"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if len(self.samples) < 1:
             raise ValueError("training set needs at least one sample")
+        if not len(self.samples) == len(self.roms) == len(self.infos):
+            raise ValueError("training set needs one ROM and one info per "
+                             "sample")
         if (np.diff(self.samples) <= 0).any():
             raise ValueError("training samples must be strictly increasing")
 
@@ -100,7 +101,7 @@ class TrainingSet:
 
 
 def train(psys: ParametricSystem, samples, method: str, tol: float = 1e-4,
-          order: int = 20, sampling_rule: str = "custom") -> TrainingSet:
+          order: int = 20) -> TrainingSet:
     """Reduce the system at each training sample with the chosen local
     method.  IRKA runs are warm-started from the previous sample's shifts
     and tangential directions."""
@@ -131,7 +132,7 @@ def train(psys: ParametricSystem, samples, method: str, tol: float = 1e-4,
             ) from exc
         roms.append(rom)
         infos.append(info)
-    return TrainingSet(psys, samples, roms, infos, method, sampling_rule)
+    return TrainingSet(psys, samples, roms, infos)
 
 
 def _truncated_orth(m, tol):
@@ -238,7 +239,8 @@ class InterpolatoryRom:
     Chat(mu) = [ell_1(mu) Chat^(1) ... ell_k(mu) Chat^(k)]; interpolation
     runs in the log10 parameter coordinate.  ``instantiate(mu)`` blends the
     output blocks into a ``Rom`` that shares the block pencil; the blend is
-    not a projection, so that ``Rom`` has no bases.
+    not a projection, so that ``Rom`` has no bases.  A ``mu`` outside
+    ``domain`` is a ``ValueError``, as for the full-order model.
 
     Only Chat and D depend on mu, so X(s) = (s Ehat - Ahat)^{-1} Bhat is
     solved once per vector of points: the interpolant keeps X for the
@@ -273,6 +275,7 @@ class InterpolatoryRom:
         return bspline2_coefficients(self.nodes_log10, x)
 
     def instantiate(self, mu: float) -> Rom:
+        _check_domain(self.domain, mu)
         ell = self.coefficients(mu)
         c_mu = np.hstack([li * ci for li, ci in zip(ell, self.c_blocks)])
         d_mu = sum(li * di for li, di in zip(ell, self.d_blocks))

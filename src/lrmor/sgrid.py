@@ -49,14 +49,6 @@ class SigmaGrid:
             raise ValueError("grid shape does not match the sample lists")
 
 
-def parameter_samples(cfg) -> np.ndarray:
-    return log_samples(*cfg.mu_range, cfg.samples_per_axis)
-
-
-def frequency_samples(cfg) -> np.ndarray:
-    return log_samples(*cfg.omega_range, cfg.samples_per_axis)
-
-
 def _at(obj, mu):
     """The non-parametric model of ``obj`` at ``mu``."""
     return obj.instantiate(mu) if hasattr(obj, "instantiate") else obj
@@ -159,13 +151,13 @@ def _resolve_samples(obj, cfg, mus, omegas):
             if cfg is None:
                 raise ValueError("need cfg or explicit mus for parametric "
                                  "input")
-            mus = parameter_samples(cfg)
+            mus = log_samples(*cfg.mu_range, cfg.samples_per_axis)
         else:
             mus = np.array([0.0])
     if omegas is None:
         if cfg is None:
             raise ValueError("need cfg or explicit omegas")
-        omegas = frequency_samples(cfg)
+        omegas = log_samples(*cfg.omega_range, cfg.samples_per_axis)
     return np.atleast_1d(np.asarray(mus, float)), \
         np.atleast_1d(np.asarray(omegas, float))
 

@@ -165,8 +165,7 @@ def test_criterion_6_balancing_transform_equivalence():
 @pytest.fixture(scope="module")
 def trained_cheb(thermal24):
     mus = chebyshev_samples(*thermal24.domain, 10)
-    return train(thermal24, mus, "bt-tol", tol=1e-4,
-                 sampling_rule="chebyshev")
+    return train(thermal24, mus, "bt-tol", tol=1e-4)
 
 
 def test_criterion_7_pmor_node_reproduction(trained_cheb):
@@ -196,8 +195,7 @@ def test_criterion_7_pmor_node_reproduction(trained_cheb):
 def test_criterion_8_pmor_protocol_analog(thermal24):
     cfg = BenchConfig(grid_size=24, samples_per_axis=30)
     mus = log_samples(*thermal24.domain, 10)
-    ts = train(thermal24, mus, "bt-tol", tol=1e-4,
-               sampling_rule="log_equispaced")
+    ts = train(thermal24, mus, "bt-tol", tol=1e-4)
     prom = piecewise_assemble(ts, truncation_tol=1e-6, one_sided=True)
     grid = sigma_error_grid(thermal24, prom, cfg)
     finite = grid.values[np.isfinite(grid.values)]
@@ -218,8 +216,7 @@ def test_criterion_8_pmor_protocol_analog(thermal24):
 
 def test_criterion_9_stability_preservation(thermal24):
     mus = log_samples(*thermal24.domain, 10)
-    ts = train(thermal24, mus, "bt-tol", tol=1e-4,
-               sampling_rule="log_equispaced")
+    ts = train(thermal24, mus, "bt-tol", tol=1e-4)
     prom = piecewise_assemble(ts, one_sided=True)
     rng = np.random.default_rng(5)
     worst = -np.inf

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lrmor import BenchConfig, gen_fd_laplacian, gen_thermal_block_mini
+from lrmor.benchmarks import _block_boxes
 from referees import loop_fd_laplacian, loop_thermal_block, stability_check
 
 
@@ -101,6 +102,18 @@ class TestThermalBlock:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             gen_thermal_block_mini(BenchConfig(grid_size=6))
+
+    def test_blocks_inside_grid_and_disjoint(self):
+        # the generator does not check this at run time; grids below 8 are
+        # rejected above
+        for g in range(8, 513):
+            boxes = _block_boxes(g)
+            for x0, x1, y0, y1 in boxes:
+                assert 0 <= x0 <= x1 < g and 0 <= y0 <= y1 < g
+            for i, a in enumerate(boxes):
+                for b in boxes[i + 1:]:
+                    assert (a[1] < b[0] or b[1] < a[0] or a[3] < b[2]
+                            or b[3] < a[2])
 
     def test_deterministic(self):
         p1 = gen_thermal_block_mini(BenchConfig(grid_size=10))

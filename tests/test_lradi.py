@@ -56,6 +56,13 @@ class TestProjectionShifts:
         assert len(ss) == 2
         assert ss.values[1] == np.conj(ss.values[0])
 
+    def test_unstable_ritz_values_are_reflected(self):
+        a = np.array([[1.0, 2.0], [-2.0, 1.0]])  # eigenvalues 1 +- 2i
+        sys_ = LtiSystem(a=a, b=np.ones((2, 1)), c=np.ones((1, 2)))
+        ss = projection_shifts(OperatorSet(sys_), np.eye(2))
+        np.testing.assert_allclose(ss.values, [-1.0 + 2.0j, -1.0 - 2.0j],
+                                   atol=1e-12)
+
     def test_fd_laplacian_residual_basis(self, fd10):
         ss = projection_shifts(OperatorSet(fd10), fd10.b)
         assert (ss.values.real < 0).all()

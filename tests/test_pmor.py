@@ -20,8 +20,7 @@ def thermal12():
 @pytest.fixture(scope="module")
 def ts_bt(thermal12):
     mus = log_samples(*thermal12.domain, 5)
-    return train(thermal12, mus, "bt-tol", tol=1e-4,
-                 sampling_rule="log_equispaced")
+    return train(thermal12, mus, "bt-tol", tol=1e-4)
 
 
 def scalar_psys():
@@ -73,8 +72,13 @@ class TestTrain:
     def test_samples_must_increase(self, thermal12):
         ts = train(thermal12, [1.0], "bt-tol")
         with pytest.raises(ValueError, match="strictly increasing"):
-            TrainingSet(thermal12, [1.0, 1.0], ts.roms * 2, ts.infos * 2,
-                        "bt-tol")
+            TrainingSet(thermal12, [1.0, 1.0], ts.roms * 2, ts.infos * 2)
+
+    def test_lengths_must_match(self, thermal12):
+        # interpolatory_assemble would zip 3 coefficients with 2 blocks
+        ts = train(thermal12, [1.0, 2.0], "bt-tol")
+        with pytest.raises(ValueError, match="one ROM and one info"):
+            TrainingSet(thermal12, [0.5, 1.0, 2.0], ts.roms, ts.infos)
 
     def test_failure_reports_sample_index(self):
         bad = ParametricSystem(a_fn=lambda mu: [[1.0]],  # unstable
@@ -107,7 +111,7 @@ class TestPiecewise:
         single = train(thermal12, [1.0], "bt-tol", tol=1e-4)
         doubled = TrainingSet(thermal12, np.array([0.5, 1.0]),
                               [single.roms[0], single.roms[0]],
-                              [single.infos[0], single.infos[0]], "bt-tol")
+                              [single.infos[0], single.infos[0]])
         prom_1 = piecewise_assemble(single, truncation_tol=1e-10)
         prom_2 = piecewise_assemble(doubled, truncation_tol=1e-10)
         assert prom_1.order == prom_2.order
@@ -142,9 +146,11 @@ class TestPiecewise:
         assert tight.concatenated_columns == sum(ts_bt.local_orders)
 
     def test_parameter_outside_domain(self, ts_bt):
-        prom = piecewise_assemble(ts_bt)
-        with pytest.raises(ValueError, match="outside domain"):
-            prom.transfer(1e5, 1j)
+        # the interpolant would extrapolate its coefficients without a word
+        for rom in (piecewise_assemble(ts_bt), interpolatory_assemble(ts_bt)):
+            for mu in (1e3, 1e5, 1e-9):
+                with pytest.raises(ValueError, match="outside domain"):
+                    rom.transfer(mu, 1j)
 
 
 class TestTransferOverPoints:
@@ -239,8 +245,7 @@ class TestCoefficients:
 class TestInterpolatory:
     def test_lagrange_node_reproduction(self, thermal12):
         mus = chebyshev_samples(*thermal12.domain, 5)
-        ts = train(thermal12, mus, "bt-tol", tol=1e-4,
-                   sampling_rule="chebyshev")
+        ts = train(thermal12, mus, "bt-tol", tol=1e-4)
         prom = interpolatory_assemble(ts, "lagrange")
         for i, mu in enumerate(mus):
             for w in np.logspace(-3, 3, 10):
@@ -253,7 +258,7 @@ class TestInterpolatory:
         sys_ = random_stable_system(rng, 10, m=2, p=2, symmetric=True)
         psys = constant_psys(sys_)
         mus = chebyshev_samples(*psys.domain, 4)
-        ts = train(psys, mus, "bt-fixed", order=4, sampling_rule="chebyshev")
+        ts = train(psys, mus, "bt-fixed", order=4)
         for kind in ("lagrange", "bspline2"):
             prom = interpolatory_assemble(ts, kind)
             for mu in (0.05, 0.7, 30.0):
@@ -291,7 +296,7 @@ class TestInterpolatory:
                                 d_fn=lambda mu: sys_.d,
                                 domain=(1e-2, 1e2))
         ts = train(psys, chebyshev_samples(1e-2, 1e2, 3), "bt-fixed",
-                   order=3, sampling_rule="chebyshev")
+                   order=3)
         prom = interpolatory_assemble(ts, "lagrange")
         h = prom.transfer(1.0, 1j * 1e6)  # ~ D at high frequency
         np.testing.assert_allclose(h, sys_.d, atol=1e-3)

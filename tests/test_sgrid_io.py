@@ -13,7 +13,7 @@ from lrmor import (BenchConfig, LtiSystem, ParametricSystem, PiecewiseRom,
                    read_dense, read_grid_csv, read_matrix, sigma_error_grid,
                    sigma_grid, train, write_grid_csv, write_matrix)
 import lrmor.sgrid
-from lrmor.sgrid import SigmaGrid, frequency_samples, parameter_samples
+from lrmor.sgrid import SigmaGrid
 
 from conftest import scalar_system
 
@@ -66,7 +66,14 @@ class TestSigmaGrid:
 
     def test_log_spacing_constant_ratio(self):
         cfg = BenchConfig(grid_size=8, samples_per_axis=40)
-        for samples in (parameter_samples(cfg), frequency_samples(cfg)):
+        psys = ParametricSystem(a_fn=lambda mu: [[-mu]],
+                                b_fn=lambda mu: [[1.0]],
+                                c_fn=lambda mu: [[1.0]], domain=cfg.mu_range)
+        grid = sigma_grid(psys, cfg)
+        for samples, (lo, hi) in ((grid.mus, cfg.mu_range),
+                                  (grid.omegas, cfg.omega_range)):
+            assert len(samples) == 40
+            np.testing.assert_allclose(samples[[0, -1]], [lo, hi], rtol=1e-12)
             ratios = samples[1:] / samples[:-1]
             assert np.abs(ratios / ratios[0] - 1.0).max() <= 1e-12
 
