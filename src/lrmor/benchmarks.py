@@ -121,9 +121,4 @@ def gen_thermal_block_mini(cfg: BenchConfig) -> ParametricSystem:
     a1 = (_weighted_laplacian(g, kappa_mu, 0.0) / h ** 2).tocsr()
     b = np.zeros((g * g, 1))
     b[:g, 0] = 1.0 / h  # unit flux density through the bottom boundary face
-    return ParametricSystem(
-        a_fn=lambda mu: (a0 + mu * a1).tocsr(),
-        b_fn=lambda mu: b,
-        c_fn=lambda mu: c,
-        domain=tuple(cfg.mu_range),
-        a_affine=(a0, a1))
+    return ParametricSystem(a0, a1, b, c, domain=tuple(cfg.mu_range))

@@ -81,8 +81,7 @@ def _bench_model(args):
         system = gen_fd_laplacian(args.grid)
         return {"A": system.a, "B": system.b, "C": system.c}
     psys = gen_thermal_block_mini(_config(args))
-    a0, a1 = psys.a_affine
-    return {"A0": a0, "A1": a1, "B": psys.b_fn(1.0), "C": psys.c_fn(1.0)}
+    return {"A0": psys.a0, "A1": psys.a1, "B": psys.b, "C": psys.c}
 
 
 def _parametric_input(args):
@@ -90,11 +89,8 @@ def _parametric_input(args):
     if args.a0_file is None:
         return gen_thermal_block_mini(cfg), cfg
     a0, a1, b, c = _input_files(args, _AFFINE)
-    a0, a1 = read_matrix(a0).tocsr(), read_matrix(a1).tocsr()
-    b, c = read_dense(b), read_dense(c)
-    psys = ParametricSystem(a_fn=lambda mu: (a0 + mu * a1).tocsr(),
-                            b_fn=lambda mu: b, c_fn=lambda mu: c,
-                            domain=tuple(args.mu_range))
+    psys = ParametricSystem(read_matrix(a0), read_matrix(a1), read_dense(b),
+                            read_dense(c), domain=tuple(args.mu_range))
     return psys, cfg
 
 

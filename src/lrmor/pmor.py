@@ -15,45 +15,49 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .equations import orthonormal_basis
 from .errors import SolverError
 from .mor import IrkaOptions, IrkaResult, Rom, _pencil_solve, \
     balanced_truncation, irka, project
-from .system import LtiSystem
+from .system import LtiSystem, as_sparse
 
 _METHODS = ("bt-tol", "bt-fixed", "irka")
 
 
 @dataclass
 class ParametricSystem:
-    """Matrix-valued callbacks over a scalar parameter domain.
+    """The affine model A(mu) = A0 + mu * A1, E = I, with constant B, C and
+    D over a scalar parameter domain (lo, hi).
 
-    ``e_fn=None`` means the identity for every parameter value.  An affine
-    stiffness A(mu) = A0 + mu * A1 may be recorded as ``a_affine=(A0, A1)``.
-    ``instantiate(mu)`` returns the full-order ``LtiSystem`` at ``mu``.
-    The sigma sweeps call ``instantiate`` (and so the callbacks) in the
-    calling thread only; the ``transfer`` of the system it returns may run
-    on a worker thread.
+    It holds that data: sparse ``a0`` and ``a1`` of one order, dense ``b``
+    and ``c``, the ``domain`` and an optional ``d``.  ``instantiate(mu)``
+    returns the full-order ``LtiSystem`` at ``mu``.  The sigma sweeps call
+    ``instantiate`` in the calling thread only; the ``transfer`` of the
+    system it returns may run on a worker thread.
     """
 
-    a_fn: Callable
-    b_fn: Callable
-    c_fn: Callable
+    a0: sp.spmatrix
+    a1: sp.spmatrix
+    b: np.ndarray
+    c: np.ndarray
     domain: tuple[float, float]
-    d_fn: Callable | None = None
-    e_fn: Callable | None = None
-    a_affine: tuple | None = None
+    d: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.a0, self.a1 = as_sparse(self.a0), as_sparse(self.a1)
+        if self.a1.shape != self.a0.shape:
+            raise ValueError(f"A1 must match A0: {self.a1.shape} vs "
+                             f"{self.a0.shape}")
 
     def instantiate(self, mu: float) -> LtiSystem:
         _check_domain(self.domain, mu)
-        return LtiSystem(a=self.a_fn(mu), b=self.b_fn(mu), c=self.c_fn(mu),
-                         e=None if self.e_fn is None else self.e_fn(mu),
-                         d=None if self.d_fn is None else self.d_fn(mu))
+        return LtiSystem(a=(self.a0 + mu * self.a1).tocsr(), b=self.b,
+                         c=self.c, d=self.d)
 
 
 def _check_domain(domain, mu):
@@ -94,6 +98,8 @@ class TrainingSet:
                              "sample")
         if (np.diff(self.samples) <= 0).any():
             raise ValueError("training samples must be strictly increasing")
+        for mu in self.samples:
+            _check_domain(self.psys.domain, mu)
 
     @property
     def local_orders(self) -> list:
@@ -240,7 +246,8 @@ class InterpolatoryRom:
     runs in the log10 parameter coordinate.  ``instantiate(mu)`` blends the
     output blocks into a ``Rom`` that shares the block pencil; the blend is
     not a projection, so that ``Rom`` has no bases.  A ``mu`` outside
-    ``domain`` is a ``ValueError``, as for the full-order model.
+    ``domain`` is a ``ValueError`` in ``coefficients`` (so in
+    ``instantiate``), as for the full-order model.
 
     Only Chat and D depend on mu, so X(s) = (s Ehat - Ahat)^{-1} Bhat is
     solved once per vector of points: the interpolant keeps X for the
@@ -269,13 +276,13 @@ class InterpolatoryRom:
         return self.block_a.shape[0]
 
     def coefficients(self, mu: float) -> np.ndarray:
+        _check_domain(self.domain, mu)
         x = np.log10(mu)
         if self.basis_kind == "lagrange":
             return lagrange_coefficients(self.nodes_log10, x)
         return bspline2_coefficients(self.nodes_log10, x)
 
     def instantiate(self, mu: float) -> Rom:
-        _check_domain(self.domain, mu)
         ell = self.coefficients(mu)
         c_mu = np.hstack([li * ci for li, ci in zip(ell, self.c_blocks)])
         d_mu = sum(li * di for li, di in zip(ell, self.d_blocks))

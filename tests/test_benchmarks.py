@@ -54,10 +54,8 @@ class TestFdLaplacian:
 class TestThermalBlock:
     def test_affine_decomposition(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=10))
-        a0, a1 = psys.a_affine
         mu = 3.7
-        diff = psys.instantiate(mu).a - (a0 + mu * a1)
-        assert abs(diff).max() <= 1e-14
+        assert_same_bits(psys.instantiate(mu).a, psys.a0 + mu * psys.a1)
 
     def test_symmetric_for_all_mu(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=10))
@@ -67,8 +65,7 @@ class TestThermalBlock:
 
     def test_stable_at_mu_zero(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=10))
-        a0, _ = psys.a_affine
-        stable, _ = stability_check(None, a0)
+        stable, _ = stability_check(None, psys.a0)
         assert stable
 
     def test_stable_across_domain(self):
@@ -85,15 +82,14 @@ class TestThermalBlock:
 
     def test_outputs_average_disjoint_blocks(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=16))
-        c = psys.c_fn(1.0)
+        c = psys.c
         np.testing.assert_allclose(c.sum(axis=1), np.ones(4))
         support = (c > 0).astype(int)
         assert (support.sum(axis=0) <= 1).all()  # no node in two blocks
 
     def test_blocks_carry_the_parameter(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=12))
-        _, a1 = psys.a_affine
-        c = psys.c_fn(1.0)
+        a1, c = psys.a1, psys.c
         # the mu-part acts exactly where the outputs observe
         block_nodes = np.flatnonzero(c.sum(axis=0) > 0)
         assert np.abs(a1.toarray()[np.ix_(block_nodes, block_nodes)]).max() \
@@ -118,8 +114,8 @@ class TestThermalBlock:
     def test_deterministic(self):
         p1 = gen_thermal_block_mini(BenchConfig(grid_size=10))
         p2 = gen_thermal_block_mini(BenchConfig(grid_size=10))
-        assert (p1.a_affine[1] != p2.a_affine[1]).nnz == 0
-        np.testing.assert_array_equal(p1.b_fn(1.0), p2.b_fn(1.0))
+        assert (p1.a1 != p2.a1).nnz == 0
+        np.testing.assert_array_equal(p1.b, p2.b)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -139,6 +135,6 @@ class TestArrayAssembly:
     @pytest.mark.parametrize("g", [8, 9, 10, 12, 24, 32])
     def test_thermal_matches_loop(self, g):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=g))
-        got = (*psys.a_affine, psys.b_fn(1.0), psys.c_fn(1.0))
+        got = (psys.a0, psys.a1, psys.b, psys.c)
         for x, y in zip(got, loop_thermal_block(g), strict=True):
             assert_same_bits(x, y)

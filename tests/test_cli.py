@@ -135,6 +135,21 @@ class TestUsageErrors:
         assert "--a1-file" in err and "--a0-file" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_affine_input_a1_of_wrong_order(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main(["gen-bench", "--model", "thermal", "--grid", "8",
+                     "--out", str(bench)]) == 0
+        write_matrix(bench / "A1.mtx", sp.identity(3, format="csr"))
+        code = main(["pmor-interp",
+                     "--a0-file", str(bench / "A0.mtx"),
+                     "--a1-file", str(bench / "A1.mtx"),
+                     "--b-file", str(bench / "B.mtx"),
+                     "--c-file", str(bench / "C.mtx"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "A1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_sigma_grid_files_need_b_file(self, tmp_path, capsys):
         flags = write_plain_files(tmp_path)
         del flags[2:4]  # drop --b-file
@@ -251,6 +266,12 @@ class TestPipelines:
         assert code == 0
         grid = read_grid_csv(tmp_path / "run" / "error_grid.csv")
         assert grid.values.shape == (4, 4)
+        # gen-bench wrote exactly the model the built-in run reduces
+        assert main(["pmor-interp", "--grid", "8", "--samples", "4",
+                     "--grid-points", "4", "--out", str(tmp_path / "own")]) \
+            == 0
+        own = read_grid_csv(tmp_path / "own" / "error_grid.csv")
+        np.testing.assert_array_equal(grid.values, own.values)
 
     def test_pmor_piecewise_from_affine_files(self, tmp_path):
         bench = tmp_path / "bench"
@@ -268,6 +289,12 @@ class TestPipelines:
                                              "pmor_piecewise_report.txt"]
         grid = read_grid_csv(tmp_path / "run" / "error_grid.csv")
         assert grid.values.shape == (4, 4)
+        # gen-bench wrote exactly the model the built-in run reduces
+        assert main(["pmor-piecewise", "--grid", "8", "--samples", "4",
+                     "--grid-points", "4", "--out", str(tmp_path / "own")]) \
+            == 0
+        own = read_grid_csv(tmp_path / "own" / "error_grid.csv")
+        np.testing.assert_array_equal(grid.values, own.values)
 
     def test_sigma_grid_fd_model(self, tmp_path):
         code = main(["sigma-grid", "--model", "fd", "--grid", "6",

@@ -24,17 +24,20 @@ def ts_bt(thermal12):
 
 
 def scalar_psys():
-    return ParametricSystem(a_fn=lambda mu: [[-mu]],
-                            b_fn=lambda mu: [[1.0]],
-                            c_fn=lambda mu: [[1.0]],
+    return ParametricSystem([[0.0]], [[-1.0]], [[1.0]], [[1.0]],
                             domain=(1e-2, 1e2))
 
 
 def constant_psys(sys_):
-    return ParametricSystem(a_fn=lambda mu: sys_.a,
-                            b_fn=lambda mu: sys_.b,
-                            c_fn=lambda mu: sys_.c,
+    return ParametricSystem(sys_.a, 0 * sys_.a, sys_.b, sys_.c,
                             domain=(1e-2, 1e2))
+
+
+class TestParametricSystem:
+    def test_a1_must_match_a0(self):
+        with pytest.raises(ValueError, match="A1"):
+            ParametricSystem(np.eye(2), np.eye(3), [[1.0], [0.0]],
+                             [[1.0, 0.0]], domain=(1e-2, 1e2))
 
 
 class TestSampling:
@@ -80,11 +83,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="one ROM and one info"):
             TrainingSet(thermal12, [0.5, 1.0, 2.0], ts.roms, ts.infos)
 
+    def test_samples_must_lie_in_domain(self, thermal12):
+        # a ROM built from this set would refuse its own nodes
+        ts = train(thermal12, [1.0, 2.0], "bt-tol")
+        with pytest.raises(ValueError, match="1000.0 outside domain"):
+            TrainingSet(thermal12, [1e3, 1e4], ts.roms, ts.infos)
+
     def test_failure_reports_sample_index(self):
-        bad = ParametricSystem(a_fn=lambda mu: [[1.0]],  # unstable
-                               b_fn=lambda mu: [[1.0]],
-                               c_fn=lambda mu: [[1.0]],
-                               domain=(1e-2, 1e2))
+        bad = ParametricSystem([[1.0]], [[0.0]], [[1.0]], [[1.0]],
+                               domain=(1e-2, 1e2))  # unstable
         with pytest.raises(SolverError, match="sample 0"):
             train(bad, [1.0], "bt-tol")
 
@@ -266,6 +273,12 @@ class TestInterpolatory:
                     prom.transfer(mu, 2j), ts.roms[0].transfer(2j),
                     atol=1e-9)
 
+    def test_coefficients_outside_domain(self, ts_bt):
+        prom = interpolatory_assemble(ts_bt, "bspline2")
+        for mu in (1e3, 1e4, 1e-9):
+            with pytest.raises(ValueError, match="outside domain"):
+                prom.coefficients(mu)
+
     def test_order_is_sum_of_locals(self, ts_bt):
         prom = interpolatory_assemble(ts_bt, "lagrange")
         assert prom.order == sum(ts_bt.local_orders)
@@ -290,11 +303,8 @@ class TestInterpolatory:
         from conftest import random_stable_system
         sys_ = random_stable_system(rng, 8, m=2, p=2, symmetric=True)
         sys_.d[:] = rng.standard_normal(sys_.d.shape)
-        psys = ParametricSystem(a_fn=lambda mu: sys_.a,
-                                b_fn=lambda mu: sys_.b,
-                                c_fn=lambda mu: sys_.c,
-                                d_fn=lambda mu: sys_.d,
-                                domain=(1e-2, 1e2))
+        psys = ParametricSystem(sys_.a, 0 * sys_.a, sys_.b, sys_.c,
+                                domain=(1e-2, 1e2), d=sys_.d)
         ts = train(psys, chebyshev_samples(1e-2, 1e2, 3), "bt-fixed",
                    order=3)
         prom = interpolatory_assemble(ts, "lagrange")

@@ -66,9 +66,8 @@ class TestSigmaGrid:
 
     def test_log_spacing_constant_ratio(self):
         cfg = BenchConfig(grid_size=8, samples_per_axis=40)
-        psys = ParametricSystem(a_fn=lambda mu: [[-mu]],
-                                b_fn=lambda mu: [[1.0]],
-                                c_fn=lambda mu: [[1.0]], domain=cfg.mu_range)
+        psys = ParametricSystem([[0.0]], [[-1.0]], [[1.0]], [[1.0]],
+                                domain=cfg.mu_range)
         grid = sigma_grid(psys, cfg)
         for samples, (lo, hi) in ((grid.mus, cfg.mu_range),
                                   (grid.omegas, cfg.omega_range)):
@@ -103,12 +102,8 @@ class TestSigmaGrid:
             per_cell_values(error_cell, [full, rom], [0.0], omegas))
 
     def test_singular_cells_of_parametric_rom_rows_are_nan(self):
-        # eigenvalues +-i*mu: singular at omega = mu
-        psys = ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
-                                b_fn=lambda mu: [[1.0], [0.0]],
-                                c_fn=lambda mu: [[0.0, 1.0]],
-                                domain=(0.5, 4.0))
-        prom = PiecewiseRom(psys, np.eye(2), np.eye(2), 0.0, True, [2], 2)
+        prom = PiecewiseRom(singular_psys(), np.eye(2), np.eye(2), 0.0, True,
+                            [2], 2)
         mus, omegas = [1.0, 2.0], [0.5, 1.0, 2.0, 3.0]
         grid = sigma_grid(prom, mus=mus, omegas=omegas)
         expected = np.zeros((2, 4), dtype=bool)
@@ -119,13 +114,9 @@ class TestSigmaGrid:
                 prom.transfer(mus[i], 1j * omegas[j]), 2)
 
     def test_singular_cell_of_parametric_system_is_nan(self):
-        # eigenvalues +-i*mu: of this grid only (mu, omega) = (1, 1) is
-        # singular
-        psys = ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
-                                b_fn=lambda mu: [[1.0], [0.0]],
-                                c_fn=lambda mu: [[0.0, 1.0]],
-                                domain=(0.5, 4.0))
-        grid = sigma_grid(psys, mus=[1.0, 2.0], omegas=[0.5, 1.0, 3.0])
+        # of this grid only (mu, omega) = (1, 1) is singular
+        grid = sigma_grid(singular_psys(), mus=[1.0, 2.0],
+                          omegas=[0.5, 1.0, 3.0])
         expected = np.zeros((2, 3), dtype=bool)
         expected[0, 1] = True
         np.testing.assert_array_equal(np.isnan(grid.values), expected)
@@ -189,9 +180,9 @@ class TestParametricRomSweeps:
 
 def singular_psys():
     """Eigenvalues +-i*mu: singular at omega = mu."""
-    return ParametricSystem(a_fn=lambda mu: [[0.0, mu], [-mu, 0.0]],
-                            b_fn=lambda mu: [[1.0], [0.0]],
-                            c_fn=lambda mu: [[0.0, 1.0]], domain=(0.5, 4.0))
+    return ParametricSystem([[0.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]],
+                            [[0.0, 1.0]], domain=(0.5, 4.0))
 
 
 def os_threads():
