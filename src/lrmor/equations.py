@@ -102,37 +102,11 @@ def constant_term_factor(system: LtiSystem, side: str) -> np.ndarray:
     return np.array(system.b if side == "N" else system.c.T, dtype=float)
 
 
-def _swap_block(k):
-    s = np.zeros((2 * k, 2 * k))
-    s[:k, k:] = np.eye(k)
-    s[k:, :k] = np.eye(k)
-    return s
-
-
-def _sym_eig_norm(f, signs):
-    """max |eig| of F S F^T via the R factor of a thin QR of F (Q is never
-    formed).
-
-    ``signs`` holds (block_width, sign_block) pairs describing the small
-    symmetric middle matrix S; the norm of F S F^T equals the largest
-    eigenvalue magnitude of R S R^T.
-    """
-    if f.shape[1] == 0:
-        return 0.0
-    r = np.linalg.qr(f, mode="r")
-    s = np.zeros((f.shape[1], f.shape[1]))
-    off = 0
-    for width, block in signs:
-        s[off:off + width, off:off + width] = block
-        off += width
-    small = r @ s @ r.T
-    small = (small + small.T) / 2.0
-    return float(np.abs(la.eigvalsh(small)).max())
-
-
 def _factored_residual(spec, zf: LowRankFactor, quad=None) -> ResidualReport:
     # ||F S F^T|| for F = [A_eff Z, E Z, G] (and E Z Z^T quad when given), S
-    # the swap block for the first two, +I for G and -I for the quadratic term
+    # the swap block for the first two, +I for G and -I for the quadratic
+    # term: the largest |eigenvalue| of R S R^T, R from a thin QR of F (Q is
+    # never formed).  R S only swaps and negates R's column blocks
     ops = OperatorSet(spec.system)
     side = spec.side
     z = zf.z
@@ -142,11 +116,13 @@ def _factored_residual(spec, zf: LowRankFactor, quad=None) -> ResidualReport:
     k, m = z.shape[1], g.shape[1]
     ez = ops.mul_e(side, z)
     blocks = [ops.mul_a(side, z), ez, g]
-    signs = [(2 * k, _swap_block(k)), (m, np.eye(m))]
     if quad is not None:
         blocks.append(ez @ (z.T @ quad))
-        signs.append((quad.shape[1], -np.eye(quad.shape[1])))
-    absolute = _sym_eig_norm(np.hstack(blocks), signs)
+    r = np.linalg.qr(np.hstack(blocks), mode="r")
+    ra, re, rg, rq = np.split(r, [k, 2 * k, 2 * k + m], axis=1)
+    small = np.hstack([re, ra, rg, -rq]) @ r.T
+    small = (small + small.T) / 2.0
+    absolute = float(np.abs(la.eigvalsh(small)).max(initial=0.0))
     ref = spectral_norm(g) ** 2
     return ResidualReport(absolute, absolute / ref if ref > 0 else absolute)
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .equations import (LowRankFactor, LyapunovSpec, constant_term_factor,
-                        orthonormal_basis, spectral_norm)
+                        lyap_residual, orthonormal_basis, spectral_norm)
 from .errors import SingularOperatorError, SolverError
 from .operators import OperatorSet
 
@@ -333,14 +333,21 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     P ~ Z Z^T, the relative residual history (one entry per shift consumed;
     a conjugate double-step records its final residual twice) and the shifts
     actually used.  Running out of iterations is not an error: the partial
-    factor comes back with ``converged=False``.  A residual monitor that is
-    not finite raises :class:`SolverError`: the iteration diverged.
+    factor comes back with ``converged=False``.  Once the monitor meets the
+    tolerance, ``converged`` says whether :func:`lyap_residual` of the
+    returned factor does too: near roundoff the monitor can read lower.  A
+    residual monitor that is not finite raises :class:`SolverError`: the
+    iteration diverged.
     """
     run = _AdiRun(OperatorSet(spec.system), spec.side, opts or AdiOptions())
     schedule, block = _schedule(run.ops, run.opts.shifts, run.w), None
     while not run.done:
         block = run.step(*schedule.send(block))
-    return run.result()
+    result = run.result()
+    if result.converged:
+        result.converged = (lyap_residual(spec, result.z).relative
+                            <= run.opts.rel_tolerance)
+    return result
 
 
 def _gramian_pair(system, opts: AdiOptions) -> tuple[AdiResult, AdiResult]:

@@ -107,9 +107,9 @@ class LuCache(OrderedDict):
     :meth:`holding` raises it).  Every LU of A or A + pE is made on the
     pencil's ordering (see the module docstring), so an LU is the same
     factorization whichever LUs came before it, evicted and made again
-    too.  :meth:`private` caches share the ordering and patterns, not the
-    LUs.  There is no lock: threads sharing a cache may make the same LU or
-    ordering twice, never a different one.
+    too.  A cache's LUs are made, used and dropped on one thread: SuperLU
+    frees an LU's memory only on its maker's thread.  Only the symbolic
+    data (ordering, patterns) crosses threads, through :meth:`private`.
     """
 
     def __init__(self, a, e=None):

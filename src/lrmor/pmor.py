@@ -29,8 +29,18 @@ from .system import LtiSystem, as_sparse
 _METHODS = ("bt-tol", "bt-fixed", "irka")
 
 
+class _Parametric:
+    """A model over a scalar parameter; ``instantiate(mu)`` returns the
+    non-parametric model at ``mu``."""
+
+    def transfer(self, mu: float, s) -> np.ndarray:
+        """H(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D array
+        of k points (see ``LtiSystem.transfer``)."""
+        return self.instantiate(mu).transfer(s)
+
+
 @dataclass
-class ParametricSystem:
+class ParametricSystem(_Parametric):
     """The affine model A(mu) = A0 + mu * A1, E = I, with constant B, C and
     D over a scalar parameter domain (lo, hi).
 
@@ -148,7 +158,7 @@ def _truncated_orth(m, tol):
 
 
 @dataclass
-class PiecewiseRom:
+class PiecewiseRom(_Parametric):
     """Constant global projection bases valid over the whole domain;
     ``instantiate(mu)`` projects the full-order system at ``mu`` on them."""
 
@@ -167,11 +177,6 @@ class PiecewiseRom:
     def instantiate(self, mu: float) -> Rom:
         """Dense reduced matrices at one parameter value."""
         return project(self.psys.instantiate(mu), self.v, self.w)
-
-    def transfer(self, mu: float, s) -> np.ndarray:
-        """Hhat(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D
-        array of k points (see ``Rom.transfer``)."""
-        return self.instantiate(mu).transfer(s)
 
 
 def piecewise_assemble(ts: TrainingSet, truncation_tol: float | None = None,
@@ -238,7 +243,7 @@ def bspline2_coefficients(nodes: np.ndarray, x: float) -> np.ndarray:
 
 
 @dataclass
-class InterpolatoryRom:
+class InterpolatoryRom(_Parametric):
     """Block-diagonal realization of the blended transfer function.
 
     Hhat(mu, s) = Chat(mu) (s Ehat - Ahat)^{-1} Bhat with
@@ -287,11 +292,6 @@ class InterpolatoryRom:
         c_mu = np.hstack([li * ci for li, ci in zip(ell, self.c_blocks)])
         d_mu = sum(li * di for li, di in zip(ell, self.d_blocks))
         return _Blend(self, c_mu, d_mu)
-
-    def transfer(self, mu: float, s) -> np.ndarray:
-        """Hhat(mu, s): (p, m) for one point ``s``, (k, p, m) for a 1-D
-        array of k points (see ``Rom.transfer``)."""
-        return self.instantiate(mu).transfer(s)
 
     def _solve(self, s):
         key = (s.shape, s.dtype.str, s.tobytes())

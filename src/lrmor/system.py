@@ -23,12 +23,8 @@ import scipy.sparse as sp
 from .operators import LuCache, OperatorSet
 
 
-def as_sparse(m, n=None):
+def as_sparse(m):
     """Coerce a matrix to CSR, accepting dense arrays and any sparse format."""
-    if m is None:
-        if n is None:
-            raise ValueError("cannot build an identity of unknown order")
-        return sp.identity(n, format="csr")
     if sp.issparse(m):
         out = m.tocsr()
     else:

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -62,17 +63,38 @@ def fd7():
     return gen_fd_laplacian(7)
 
 
+class RecordedLu:
+    """A sparse LU that writes the thread that frees it into its record."""
+
+    def __init__(self, lu, record):
+        self._lu, self._record = lu, record
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def __del__(self):
+        self._record[1] = threading.current_thread()
+
+
 @pytest.fixture
-def lu_count(monkeypatch):
+def lu_threads(monkeypatch):
+    """One ``[maker, freer]`` thread pair per sparse LU the operator layer
+    made since set-up; ``freer`` is None while the LU lives."""
+    records = []
+
+    def recording(*args, **kwargs):
+        record = [threading.current_thread(), None]
+        records.append(record)
+        return RecordedLu(splu(*args, **kwargs), record)
+
+    monkeypatch.setattr(lrmor.operators, "splu", recording)
+    return records
+
+
+@pytest.fixture
+def lu_count(lu_threads):
     """Number of sparse LUs the operator layer made since set-up."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(lrmor.operators, "splu", counting)
-    return lambda: len(calls)
+    return lambda: len(lu_threads)
 
 
 @pytest.fixture

@@ -166,6 +166,16 @@ class TestLrAdi:
         assert res.converged
         assert res.residual_history[-1] <= opts.rel_tolerance
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15, 1e-16, 1e-18])
+    def test_converged_means_true_residual_meets_tolerance(self, fd10, tol):
+        # below about 1.5e-15 the monitor meets the tolerance and the true
+        # residual does not
+        spec = LyapunovSpec(fd10, "N")
+        res = lr_adi(spec, AdiOptions(rel_tolerance=tol))
+        assert res.residual_history[-1] <= tol
+        assert res.converged == (lyap_residual(spec, res.z).relative <= tol)
+        assert res.converged == (tol == 1e-10)
+
     def test_budget_exhaustion_returns_partial(self, fd7):
         res = lr_adi(LyapunovSpec(fd7, "N"),
                      AdiOptions(max_iterations=3, rel_tolerance=1e-16))

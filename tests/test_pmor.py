@@ -39,6 +39,12 @@ class TestParametricSystem:
             ParametricSystem(np.eye(2), np.eye(3), [[1.0], [0.0]],
                              [[1.0, 0.0]], domain=(1e-2, 1e2))
 
+    @pytest.mark.parametrize("s", [2j, 1j * np.logspace(-2, 2, 5)],
+                             ids=["point", "vector"])
+    def test_transfer_is_instantiate_then_transfer(self, thermal12, s):
+        np.testing.assert_array_equal(thermal12.transfer(0.3, s),
+                                      thermal12.instantiate(0.3).transfer(s))
+
 
 class TestSampling:
     def test_log_samples_constant_ratio(self):

@@ -1,6 +1,8 @@
+import gc
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lrmor import (BenchConfig, LtiSystem, ParametricSystem, PiecewiseRom,
                    load_system, log_samples, piecewise_assemble, project,
                    read_dense, read_grid_csv, read_matrix, sigma_error_grid,
                    sigma_grid, train, write_grid_csv, write_matrix)
+import lrmor.operators
 import lrmor.sgrid
 from lrmor.sgrid import SigmaGrid
 
@@ -305,6 +308,29 @@ class TestParallelSweep:
         monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
         assert sigma_grid(RecordingModel(), mus=[1.0],
                           omegas=[1.0]).values.shape == (1, 1)
+
+    def test_every_lu_dies_on_its_makers_thread(self, lu_threads,
+                                                monkeypatch):
+        # SuperLU frees an LU's memory only on the thread that made it: 30
+        # LUs of FD n = 10^4 made on a worker and dropped on the main
+        # thread kept about 120 MB
+        monkeypatch.setattr(lrmor.sgrid, "_cpus", lambda: 2)
+        mus, omegas = np.logspace(-6, 2, 6), np.logspace(-4, 4, 4)
+        sigma_grid(gen_thermal_block_mini(BenchConfig(grid_size=12)),
+                   mus=mus, omegas=omegas)
+        sigma_grid(gen_fd_laplacian(10), mus=mus, omegas=omegas)
+        gc.collect()
+        assert len(lu_threads) >= 2 * len(mus) * len(omegas)
+        assert threading.main_thread() not in {t for t, _ in lu_threads}
+        assert all(freer is maker for maker, freer in lu_threads)
+
+    def test_lu_dropped_on_another_thread_is_flagged(self, lu_threads, fd7):
+        with ThreadPoolExecutor(1) as pool:
+            lu = pool.submit(lrmor.operators.splu,
+                             fd7.a.tocsc()).result(timeout=60)
+        del lu
+        [(maker, freer)] = lu_threads
+        assert freer is threading.main_thread() and maker is not freer
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads /proc/self/task")
