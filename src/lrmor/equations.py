@@ -35,14 +35,6 @@ class LowRankFactor:
     def __post_init__(self):
         self.z = np.atleast_2d(np.asarray(self.z, dtype=float))
 
-    @classmethod
-    def empty(cls, n: int) -> "LowRankFactor":
-        return cls(np.zeros((n, 0)))
-
-    @property
-    def order(self) -> int:
-        return self.z.shape[0]
-
     @property
     def columns(self) -> int:
         return self.z.shape[1]

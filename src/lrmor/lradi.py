@@ -54,6 +54,17 @@ def _width(p) -> int:
     return 1 if abs(p.imag) <= _REAL_TOL * abs(p) else 2
 
 
+def _check_pairs(vals):
+    """Raise unless each complex value precedes its conjugate to _REAL_TOL."""
+    i = 0
+    while i < len(vals):
+        if _width(vals[i]) == 2 and (i + 1 >= len(vals) or abs(
+                vals[i + 1] - np.conj(vals[i])) > _REAL_TOL * abs(vals[i])):
+            raise ValueError("complex shifts must appear as adjacent "
+                             "conjugate pairs")
+        i += _width(vals[i])
+
+
 @dataclass
 class ShiftSet:
     """Ordered shifts, strictly stable and conjugate-closed with the members
@@ -66,14 +77,7 @@ class ShiftSet:
         if (self.values.real >= 0).any():
             raise ValueError("all shifts must have strictly negative real "
                              "part")
-        i = 0
-        vals = self.values
-        while i < len(vals):
-            if _width(vals[i]) == 2 and (
-                    i + 1 >= len(vals) or vals[i + 1] != np.conj(vals[i])):
-                raise ValueError("complex shifts must appear as adjacent "
-                                 "conjugate pairs")
-            i += _width(vals[i])
+        _check_pairs(self.values)
 
     def __len__(self):
         return len(self.values)

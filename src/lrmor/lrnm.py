@@ -107,7 +107,7 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
     r, k = constant_term_factor(system, "T"), loop.system.v[:, -b.shape[1]:]
     c_norm = spectral_norm(r)
     if c_norm == 0.0:
-        return NewtonResult(LowRankFactor.empty(n), k.T, [0.0], True)
+        return NewtonResult(LowRankFactor(np.zeros((n, 0))), k.T, [0.0], True)
 
     pool = opts.shifts if opts.shifts is not None else heuristic_shifts(ops)
     schedule, block = _schedule(ops, pool, r), None

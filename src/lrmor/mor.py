@@ -21,7 +21,7 @@ import scipy.linalg as la
 
 from .equations import LowRankFactor, orthonormal_basis
 from .errors import SingularOperatorError, SolverError
-from .lradi import AdiOptions, _gramian_pair, _width
+from .lradi import AdiOptions, _check_pairs, _gramian_pair, _width
 from .operators import OperatorSet
 from .system import LtiSystem
 
@@ -84,7 +84,6 @@ class HsvReport:
     error by about 1e-8 sigma_1 when ``tol`` is 1e-4 sigma_1 or below."""
 
     singular_values: np.ndarray  # descending
-    chosen_order: int
     error_bound: float  # 2 * sum of truncated values
     rank_limited: bool = False
 
@@ -143,8 +142,8 @@ def square_root_method(zp: LowRankFactor, zq: LowRankFactor,
     v = zp.z @ (xt[:r].T * scale)
     w = zq.z @ (u[:, :r] * scale)
     rom = project(system, v, w)
-    report = HsvReport(singular_values=s.copy(), chosen_order=r,
-                       error_bound=bound, rank_limited=rank_limited)
+    report = HsvReport(singular_values=s.copy(), error_bound=bound,
+                       rank_limited=rank_limited)
     return rom, report
 
 
@@ -172,7 +171,7 @@ def balanced_truncation(system: LtiSystem, order: int | None = None,
 class IrkaOptions:
     max_iter: int = 100
     shift_change_tol: float = 1e-6
-    initial_shifts: np.ndarray | None = None
+    initial_shifts: np.ndarray | None = None  # conjugate pairs adjacent
     initial_b: np.ndarray | None = None  # (r, m) tangential input directions
     initial_c: np.ndarray | None = None  # (r, p) tangential output directions
 
@@ -283,8 +282,6 @@ def _orth_pad(m, r):
     order stays fixed across IRKA iterations.
     """
     u = orthonormal_basis(m)
-    if u.shape[1] > r:
-        return u[:, :r]
     rng = np.random.default_rng(0x1234)
     guard = 0
     while u.shape[1] < r and guard < 8:
@@ -330,6 +327,7 @@ def irka(system: LtiSystem, r: int, opts: IrkaOptions | None = None
     if not len(sigma) == len(b_dirs) == len(c_dirs) == r:
         raise ValueError("initial_shifts, initial_b and initial_c must have "
                          "r rows")
+    _check_pairs(sigma)  # la.eig's pairs may differ in their last bits
 
     converged = False
     next_data = (sigma, b_dirs, c_dirs)

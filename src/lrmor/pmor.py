@@ -14,7 +14,7 @@ Two families are provided on top of the non-parametric reductions:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -166,8 +166,6 @@ class PiecewiseRom(_Parametric):
     v: np.ndarray
     w: np.ndarray
     truncation_tol: float
-    one_sided: bool
-    local_orders: list
     concatenated_columns: int
 
     @property
@@ -205,8 +203,7 @@ def piecewise_assemble(ts: TrainingSet, truncation_tol: float | None = None,
         r = min(v.shape[1], w.shape[1])
         v, w = v[:, :r], w[:, :r]
         ncat = vcat.shape[1]
-    return PiecewiseRom(ts.psys, v, w, truncation_tol, one_sided,
-                        ts.local_orders, ncat)
+    return PiecewiseRom(ts.psys, v, w, truncation_tol, ncat)
 
 
 # -- scalar coefficient functions ---------------------------------------------
@@ -269,7 +266,6 @@ class InterpolatoryRom(_Parametric):
     block_b: np.ndarray
     c_blocks: list
     d_blocks: list
-    local_orders: list = field(default_factory=list)
 
     def __post_init__(self):
         # (points key, read-only X) of the latest solve; the lock lets one
@@ -335,5 +331,4 @@ def interpolatory_assemble(ts: TrainingSet, basis_kind: str = "lagrange"
         block_a=la.block_diag(*[rom.a for rom in roms]),
         block_b=np.vstack([rom.b for rom in roms]),
         c_blocks=[rom.c.copy() for rom in roms],
-        d_blocks=[rom.d.copy() for rom in roms],
-        local_orders=ts.local_orders)
+        d_blocks=[rom.d.copy() for rom in roms])

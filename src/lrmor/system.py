@@ -121,14 +121,6 @@ class LtiSystem:
     def order(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.c.shape[0]
-
     def transfer(self, s) -> np.ndarray:
         """H(s) = C (sE - A)^{-1} B + D: (p, m) for one point ``s``, (k, p, m)
         for a 1-D array of k points, with one sparse LU per point.

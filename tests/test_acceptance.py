@@ -87,11 +87,11 @@ def test_criterion_4_bt_error_bound():
     for _ in range(10):
         n = int(rng.integers(30, 101))
         sys_ = random_stable_system(rng, n, m=2, p=2, symmetric=True)
-        _, rep = balanced_truncation(sys_, order=n)
+        rom_full, rep = balanced_truncation(sys_, order=n)
         hsv = rep.singular_values
         h_samples = [transfer_eval(sys_, 1j * w) for w in omegas]
         for r in (1, 3, 8, 15):
-            if r >= rep.chosen_order:
+            if r >= rom_full.order:
                 continue
             rom, _ = balanced_truncation(sys_, order=r)
             bound = 2.0 * hsv[r:].sum()

@@ -77,8 +77,8 @@ class TestThermalBlock:
     def test_io_shape(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=12))
         sys_ = psys.instantiate(1.0)
-        assert sys_.n_inputs == 1
-        assert sys_.n_outputs == 4
+        assert sys_.b.shape[1] == 1
+        assert sys_.c.shape[0] == 4
 
     def test_outputs_average_disjoint_blocks(self):
         psys = gen_thermal_block_mini(BenchConfig(grid_size=16))

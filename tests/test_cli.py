@@ -96,6 +96,16 @@ class TestLyapCommand:
             flags += [f"--{x}-file", str(tmp_path / f"{x}.mtx")]
         assert main([command, *flags, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, method", [("lyap", "ADI"),
+                                                 ("care", "RADI")])
+    def test_unmet_tolerance_exits_2(self, tmp_path, capsys, command,
+                                     method):
+        code = main([command, "--demo-fd", "5", "--tol", "1e-300",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert f"numerical failure: {method} iteration did not converge" \
+            in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -106,6 +116,11 @@ class TestUsageErrors:
 
     def test_bad_range(self):
         assert main(["sigma-grid", "--mu-range", "5"]) == 1
+
+    @pytest.mark.parametrize("bounds", ["2:1", "0:1"])
+    def test_range_needs_0_lt_lo_lt_hi(self, capsys, bounds):
+        assert main(["sigma-grid", "--mu-range", bounds]) == 1
+        assert "need 0 < lo < hi" in capsys.readouterr().err
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
@@ -251,6 +266,15 @@ class TestPipelines:
         assert code == 0
         grid = read_grid_csv(tmp_path / "sigma_grid.csv")
         assert grid.values.shape == (5, 5)
+
+    def test_sigma_grid_mu_range(self, tmp_path):
+        code = main(["sigma-grid", "--model", "thermal", "--grid", "8",
+                     "--samples", "3", "--mu-range", "1e-3:1e1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        grid = read_grid_csv(tmp_path / "sigma_grid.csv")
+        assert grid.mus[0] == 1e-3
+        assert grid.values.shape == (3, 3)
 
     def test_pmor_from_affine_files(self, tmp_path):
         bench = tmp_path / "bench"

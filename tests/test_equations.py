@@ -35,7 +35,8 @@ def dense_ricc_res(sys_, z, side):
 class TestLyapResidual:
     def test_empty_factor_is_constant_term(self, rng):
         sys_ = random_stable_system(rng, 6, m=2)
-        rep = lyap_residual(LyapunovSpec(sys_, "N"), LowRankFactor.empty(6))
+        rep = lyap_residual(LyapunovSpec(sys_, "N"),
+                            LowRankFactor(np.zeros((6, 0))))
         assert rep.absolute == pytest.approx(
             np.linalg.norm(sys_.b, 2) ** 2, rel=1e-13)
         assert rep.relative == pytest.approx(1.0, rel=1e-13)
@@ -87,7 +88,8 @@ class TestLyapResidual:
 class TestRiccatiResidual:
     def test_empty_factor(self, rng):
         sys_ = random_stable_system(rng, 6, p=2)
-        rep = riccati_residual(RiccatiSpec(sys_, "T"), LowRankFactor.empty(6))
+        rep = riccati_residual(RiccatiSpec(sys_, "T"),
+                               LowRankFactor(np.zeros((6, 0))))
         assert rep.absolute == pytest.approx(
             np.linalg.norm(sys_.c, 2) ** 2, rel=1e-13)
 

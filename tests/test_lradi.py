@@ -39,6 +39,13 @@ class TestShiftSet:
         ss = ShiftSet([-1.0 + 1.0j, -1.0 - 1.0j, -3.0])
         assert len(ss) == 3
 
+    def test_accepts_pairs_that_differ_in_the_last_bits(self):
+        # as la.eig returns some conjugate pairs of a real pencil
+        top = -491.2936308339952 + 100.54458787792407j
+        low = np.conj(top) + np.spacing(100.0) * 1j
+        assert low != np.conj(top)
+        assert len(ShiftSet([top, low])) == 2
+
 
 class TestProjectionShifts:
     def test_full_basis_returns_eigenvalues(self):

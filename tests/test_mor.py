@@ -13,10 +13,11 @@ import scipy.sparse as sp
 import lrmor
 from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
                    LtiSystem, LyapunovSpec, Rom, OperatorSet, RiccatiSpec,
-                   SolverError, balanced_truncation, br_transform,
-                   gen_fd_laplacian, gen_thermal_block_mini, heuristic_shifts,
-                   irka, lqg_transform, lr_adi, lr_newton, lyap_residual,
-                   pr_transform, project, square_root_method, transfer_eval)
+                   SingularOperatorError, SolverError, balanced_truncation,
+                   br_transform, gen_fd_laplacian, gen_thermal_block_mini,
+                   heuristic_shifts, irka, lqg_transform, lr_adi, lr_newton,
+                   lyap_residual, pr_transform, project, square_root_method,
+                   transfer_eval)
 from lrmor import mor
 from lrmor.lradi import _gramian_pair
 from referees import (dense_a_eff, dense_lyap_solve, spsd_factor,
@@ -151,7 +152,6 @@ class TestSquareRootMethod:
         sys_ = scalar_system()
         z = LowRankFactor([[np.sqrt(0.5)]])
         rom, rep = square_root_method(z, z, sys_, tol=10.0)
-        assert rep.chosen_order == 0
         assert rom.order == 0
         np.testing.assert_array_equal(rom.transfer(1.0), sys_.d)
 
@@ -229,7 +229,7 @@ class TestBalancedTruncation:
             rom_full, rep = balanced_truncation(sys_, order=n)  # rank-capped
             hsv = rep.singular_values
             for r in (1, 3, 7):
-                if r >= rep.chosen_order:
+                if r >= rom_full.order:
                     continue
                 rom, rep_r = balanced_truncation(sys_, order=r)
                 bound = 2.0 * hsv[r:].sum()
@@ -426,6 +426,62 @@ class TestIrka:
                 "initial_b": np.ones((2, 1)), "initial_c": np.ones((2, 1))}
         with pytest.raises(ValueError, match="r rows"):
             irka(fd10, 4, IrkaOptions(**{field: data[field]}))
+
+    @pytest.mark.parametrize("shifts", [[1 + 1j], [1 + 1j, 2.0, 1 - 1j],
+                                        [1 + 1j, 1 + 1j]])
+    def test_initial_shifts_need_adjacent_conjugate_pairs(self, fd10, shifts):
+        # the rational basis takes two columns per complex shift and skips
+        # the entry after it, so any other layout builds on other points
+        r = len(shifts)
+        opts = IrkaOptions(initial_shifts=shifts, initial_b=np.ones((r, 1)),
+                           initial_c=np.ones((r, 1)))
+        with pytest.raises(ValueError, match="adjacent conjugate pairs"):
+            irka(fd10, r, opts)
+
+    def test_warm_start_from_a_result(self, fd10):
+        # the final shifts are a pair from la.eig, whose members need not
+        # be exact conjugates
+        res = irka(fd10, 2)
+        again = irka(fd10, 2, IrkaOptions(initial_shifts=res.shifts,
+                                          initial_b=res.b_dirs,
+                                          initial_c=res.c_dirs))
+        assert again.converged
+
+    def test_rank_deficient_basis_is_padded_reproducibly(self, monkeypatch):
+        # diagonal A and B = e_3: every (A - sI)^{-1} B is a multiple of e_3
+        def model():
+            return LtiSystem(a=sp.diags(-np.arange(1.0, 9.0)),
+                             b=np.eye(8)[:, [2]], c=np.ones((1, 8)))
+
+        ranks, orth_pad = [], mor._orth_pad
+
+        def recording(m, r):
+            ranks.append(mor.orthonormal_basis(m).shape[1])
+            return orth_pad(m, r)
+
+        monkeypatch.setattr(mor, "_orth_pad", recording)
+        res = irka(model(), 2)
+        assert res.converged and res.rom.order == 2
+        assert ranks[::2] == [1] * res.n_iter  # V, padded at every iterate
+        assert_fields_identical(irka(model(), 2).rom, res.rom)
+
+    def test_shift_on_an_eigenvalue_is_nudged(self, monkeypatch):
+        caught, shifted_solve = [], mor._shifted_solve
+
+        def counting(*args):
+            try:
+                return shifted_solve(*args)
+            except SingularOperatorError:
+                caught.append(args[2])
+                raise
+
+        monkeypatch.setattr(mor, "_shifted_solve", counting)
+        sys_ = LtiSystem(a=sp.diags(-np.arange(1.0, 9.0)), b=np.ones((8, 1)),
+                         c=np.ones((1, 8)))
+        # the shift -1 makes A + I singular
+        res = irka(sys_, 2, IrkaOptions(initial_shifts=[-1.0, 3.0]))
+        assert caught == [-1.0]
+        assert res.converged
 
     def test_sparse_plus_low_rank_matches_formed(self, fd10, rng):
         # the update goes through Woodbury, the formed copy through one LU;

@@ -105,8 +105,7 @@ class TestSigmaGrid:
             per_cell_values(error_cell, [full, rom], [0.0], omegas))
 
     def test_singular_cells_of_parametric_rom_rows_are_nan(self):
-        prom = PiecewiseRom(singular_psys(), np.eye(2), np.eye(2), 0.0, True,
-                            [2], 2)
+        prom = PiecewiseRom(singular_psys(), np.eye(2), np.eye(2), 0.0, 2)
         mus, omegas = [1.0, 2.0], [0.5, 1.0, 2.0, 3.0]
         grid = sigma_grid(prom, mus=mus, omegas=omegas)
         expected = np.zeros((2, 4), dtype=bool)
