@@ -7,7 +7,7 @@ from .equations import (LowRankFactor, LyapunovSpec, ResidualReport,
 from .errors import SingularOperatorError, SolverError
 from .lradi import (AdiOptions, AdiResult, ShiftSet, heuristic_shifts,
                     lr_adi, projection_shifts)
-from .lrnm import NewtonOptions, NewtonResult, lr_newton
+from .lrnm import NewtonResult, lr_newton
 from .mmio import load_system, read_dense, read_matrix, write_matrix
 from .mor import (BalancingTransform, HsvReport, IrkaOptions, IrkaResult,
                   Rom, balanced_truncation, br_transform, irka, lqg_transform,

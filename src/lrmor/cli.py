@@ -22,7 +22,7 @@ from .benchmarks import BenchConfig, gen_fd_laplacian, gen_thermal_block_mini
 from .equations import LyapunovSpec, RiccatiSpec
 from .errors import SingularOperatorError, SolverError
 from .lradi import AdiOptions, lr_adi
-from .lrnm import NewtonOptions, lr_newton
+from .lrnm import lr_newton
 from .mmio import load_system, read_dense, read_matrix, write_matrix
 from .mor import balanced_truncation, irka
 from .pmor import (ParametricSystem, chebyshev_samples,
@@ -126,14 +126,13 @@ def cmd_gen_bench(args, matrices):
 
 def cmd_equation(args, system):
     """``lyap`` (LR-ADI) and ``care`` (low-rank RADI)."""
+    opts = AdiOptions(rel_tolerance=args.tol)
     if args.command == "lyap":
-        result = lr_adi(LyapunovSpec(system, args.side),
-                        AdiOptions(rel_tolerance=args.tol))
+        result = lr_adi(LyapunovSpec(system, args.side), opts)
         history, factors = result.residual_history, {"Z": result.z.z}
         steps, method = f"{len(history)} iterations", "ADI"
     else:
-        result = lr_newton(RiccatiSpec(system, args.side),
-                           NewtonOptions(rel_tolerance=args.tol))
+        result = lr_newton(RiccatiSpec(system, args.side), opts)
         history = result.newton_residuals
         factors = {"Z": result.z.z, "K": result.k}
         steps, method = f"{len(history) - 1} RADI steps", "RADI"

@@ -100,10 +100,9 @@ def _factored_residual(spec, zf: LowRankFactor, quad=None) -> ResidualReport:
     # term: the largest |eigenvalue| of R S R^T, R from a thin QR of F (Q is
     # never formed).  R S only swaps and negates R's column blocks
     ops = OperatorSet(spec.system)
-    side = spec.side
-    z = zf.z
-    if z.shape[0] != ops.size():
-        raise ValueError(f"factor has {z.shape[0]} rows, expected {ops.size()}")
+    side, z, n = spec.side, zf.z, spec.system.order
+    if z.shape[0] != n:
+        raise ValueError(f"factor has {z.shape[0]} rows, expected {n}")
     g = constant_term_factor(spec.system, side)
     k, m = z.shape[1], g.shape[1]
     ez = ops.mul_e(side, z)

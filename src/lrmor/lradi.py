@@ -55,7 +55,10 @@ def _width(p) -> int:
 
 
 def _check_pairs(vals):
-    """Raise unless each complex value precedes its conjugate to _REAL_TOL."""
+    """Raise unless every value is finite and each complex value precedes
+    its conjugate to _REAL_TOL."""
+    if not np.isfinite(vals).all():
+        raise ValueError("shifts must be finite")
     i = 0
     while i < len(vals):
         if _width(vals[i]) == 2 and (i + 1 >= len(vals) or abs(
@@ -101,7 +104,7 @@ class AdiOptions:
     shifts: ShiftSet | None = None  # fixed pool, cycled; else projection
 
     def __post_init__(self):
-        if self.rel_tolerance <= 0:
+        if not self.rel_tolerance > 0:  # NaN too
             raise ValueError("tolerance must be positive")
         self.shifts = _as_pool(self.shifts)
 
@@ -185,7 +188,7 @@ def heuristic_shifts(ops: OperatorSet, num: int = 10) -> ShiftSet:
     candidates (reflecting unstable ones), and greedily selects ``num``
     shifts minimizing the ADI decay function over the candidates.
     """
-    n = ops.size()
+    n = ops.system.order
     steps = min(10, n)
     cands = []
     fwd = _arnoldi_ritz(
@@ -323,7 +326,7 @@ class _AdiRun:
 
     def result(self) -> AdiResult:
         z = LowRankFactor(np.hstack(self.zblocks) if self.zblocks
-                          else np.zeros((self.ops.size(), 0)))
+                          else np.zeros((self.ops.system.order, 0)))
         shifts = ShiftSet(np.asarray(self.used)) if self.res0 else None
         return AdiResult(z, self.history, shifts, self.converged, self.columns)
 

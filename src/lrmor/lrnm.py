@@ -29,24 +29,8 @@ import scipy.linalg as la
 from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
                         riccati_residual, spectral_norm)
 from .errors import SolverError
-from .lradi import ShiftSet, _as_pool, _schedule, heuristic_shifts
+from .lradi import AdiOptions, _schedule, heuristic_shifts
 from .operators import OperatorSet
-
-
-@dataclass
-class NewtonOptions:
-    """Options of :func:`lr_newton`: the tolerance, the step budget and the
-    pool of shifts that is cycled, one LU per shift.  Without ``shifts`` the
-    pool is the 10 heuristic shifts of the pencil."""
-
-    rel_tolerance: float = 1e-10
-    max_iterations: int = 200
-    shifts: ShiftSet | None = None
-
-    def __post_init__(self):
-        if self.rel_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.shifts = _as_pool(self.shifts)
 
 
 @dataclass
@@ -82,10 +66,14 @@ def _update(s, width, u, b):
     return coef[:, :-q].real, vecs * np.sqrt(np.maximum(lam, 0.0))
 
 
-def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
+def lr_newton(spec: RiccatiSpec, opts: AdiOptions | None = None
               ) -> NewtonResult:
     """Solve the Riccati equation of ``spec`` by RADI for Q ~ Z Z^T and the
     feedback K = B^T Q E (side "T"; the dual side returns K = C P E^T).
+
+    RADI is an ADI iteration and takes :class:`~lrmor.lradi.AdiOptions`; its
+    pool of ``shifts`` is cycled, one LU per shift, and without one the pool
+    is the pencil's 10 heuristic shifts.
 
     ``newton_residuals`` holds the relative residual before the first step
     and after each shift (a conjugate pair records its residual twice); the
@@ -94,12 +82,12 @@ def lr_newton(spec: RiccatiSpec, opts: NewtonOptions | None = None
     ``converged=False``; a residual that is not finite or exceeds 1/eps
     raises :class:`SolverError`.
     """
-    opts = opts or NewtonOptions()
+    opts = opts or AdiOptions()
     if spec.side == "N":
         return lr_newton(RiccatiSpec(spec.system.transposed(), "T"), opts)
     system = spec.system
     ops = OperatorSet(system)
-    n, b = ops.size(), system.b
+    n, b = system.order, system.b
     u, v = (system.u, system.v) if system.have_uv else (b[:, :0], b[:, :0])
     loop = OperatorSet(system.with_update(np.hstack([u, -b]),
                                           np.hstack([v, np.zeros_like(b)])))

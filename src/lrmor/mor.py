@@ -232,7 +232,7 @@ def _shifted_solve(ops, tr, shift, b):
     if ref is not None and ref != p:
         x, last = ops.sol_ape(tr, ref, tr, b), np.inf
         for k in range(_MAX_CORRECTIONS + 1):
-            r = b - ops.mul_ape(tr, p, tr, x)
+            r = b - ops.mul_ape(tr, p, x)
             norm = np.linalg.norm(r)
             if norm <= _REFINE_TOL * np.linalg.norm(b):
                 return x

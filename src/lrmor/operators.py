@@ -26,26 +26,27 @@ an LU of A or A + pE orders it: SuperLU's symmetric mode with a minimum-degree
 ordering of A^T + A (``MMD_AT_PLUS_A``) factorizes A + Re(p) E on the same
 stored pattern, and its column permutation becomes the pencil's ordering q;
 that LU is dropped.  In symmetric mode q depends on the pattern of A^T + A
-alone, the same for every shift and for A + pE^T, so the real LU gives the
-q a complex LU at p would give, for less (1.88 against 2.29 ms at
-n = 1,024); only when A + Re(p) E is exactly singular is the ordering LU
-made at p itself.  Every LU, the first included, factorizes the matrix
-permuted to ``[q][:, q]`` with the ``NATURAL`` ordering.  On the structurally
-symmetric pencils of the FD and thermal-block models this yields far less
-fill than the default COLAMD column ordering.  E's own LU keeps its own MMD
-ordering.  Each matrix is written from the values of A and E aligned on
-their permuted union pattern (E^T for A + pE^T, the identity without E),
-stored once, so no shift pays for a sparse add.  SuperLU keeps
-its default threshold partial pivoting (symmetric mode takes the diagonal
-pivot only when it is as large as the largest entry of its column), so the
-ordering is a hint and solves stay correct on non-symmetric patterns too.
-Every LU is column-wise (``RELAX = PANEL_SIZE = 1``): SuperLU's default
-supernode relaxation and panel size are tuned for large 3-D problems, and on
-these 2-D pencils column-wise LUs of the same fill took 0.7-0.8x the time
-(n = 576 to 10^4, real and complex).
+alone, the same for every shift, so the real LU gives the q a complex LU at
+p would give, for less (1.88 against 2.29 ms at n = 1,024); only when
+A + Re(p) E is exactly singular is the ordering LU made at p itself.  Every
+LU, the first included, factorizes the matrix permuted to ``[q][:, q]`` with
+the ``NATURAL`` ordering.  On the structurally symmetric pencils of the FD
+and thermal-block models this yields far less fill than the default COLAMD
+column ordering.  E's own LU keeps its own MMD ordering.  Each A + pE is
+written from the values of A and E aligned on their permuted union pattern
+(the identity without E), the pencil's one pattern, stored once, so no
+shift pays for a sparse add.  SuperLU keeps its default threshold partial
+pivoting (symmetric mode takes the diagonal pivot only when it is as large
+as the largest entry of its column), so the ordering is a hint and solves
+stay correct on non-symmetric patterns too.  Every LU is column-wise
+(``RELAX = PANEL_SIZE = 1``): SuperLU's default supernode relaxation and
+panel size are tuned for large 3-D problems, and on these 2-D pencils
+column-wise LUs of the same fill took 0.7-0.8x the time (n = 576 to 10^4,
+real and complex).
 
 Transpose arguments follow the BLAS convention: ``"N"`` for the matrix
-itself, ``"T"`` for its transpose.
+itself, ``"T"`` for its transpose.  A and E always take the same flag: an
+LU of A + pE solves (A + pE)^T too, so the pencil has one pattern.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ def _check_trans(tr):
         raise ValueError(f"transpose flag must be 'N' or 'T', got {tr!r}")
 
 
-def _complex_lu(key) -> bool:
-    return key[0] == "ApE" and isinstance(key[1], complex)
-
-
 def _splu(m, permc_spec):
     return splu(m, permc_spec=permc_spec, relax=RELAX, panel_size=PANEL_SIZE,
                 options=dict(SymmetricMode=True))
@@ -98,18 +95,17 @@ def _shifted(m, p):
 
 class LuCache(OrderedDict):
     """Sparse LUs of one (A, E) pencil, least recently used first, and the
-    pencil's ordering and patterns.
+    pencil's ordering and pattern.
 
-    Keys are ``("E",)`` and ``("ApE", p, mixed)`` for A + pE
-    (``mixed=False``) or A + pE^T (``mixed=True``); real shifts are stored
-    as floats, and A is the shift 0.0.  Only a complex shift makes a
-    complex LU.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
+    Keys are ``"E"`` and the shift p itself for A + pE: a float when p is
+    real, and A is the shift 0.0.  Only a complex shift makes a complex
+    LU.  At most ``bound`` LUs are kept (``MAX_LUS`` unless
     :meth:`holding` raises it).  Every LU of A or A + pE is made on the
     pencil's ordering (see the module docstring), so an LU is the same
     factorization whichever LUs came before it, evicted and made again
     too.  A cache's LUs are made, used and dropped on one thread: SuperLU
     frees an LU's memory only on its maker's thread.  Only the symbolic
-    data (ordering, patterns) crosses threads, through :meth:`private`.
+    data (ordering, pattern) crosses threads, through :meth:`private`.
     """
 
     def __init__(self, a, e=None):
@@ -117,7 +113,7 @@ class LuCache(OrderedDict):
         self.a = a
         self.e = e
         self.bound = MAX_LUS
-        # "order": q, set once; ("pattern", mixed): see _pattern
+        # "order": q, set once; "pattern": see _pattern
         self._symbolic = {}
 
     def private(self) -> "LuCache":
@@ -152,35 +148,33 @@ class LuCache(OrderedDict):
         self[key] = lu
         while len(self) > self.bound:
             self.popitem(last=False)
-        return lu, None if key[0] == "E" else self._symbolic["order"]
+        return lu, None if key == "E" else self._symbolic["order"]
 
     def nearest(self, p, rel):
         """The shift q nearest to ``p`` among the cached LUs of A + qE of
         p's kind, real (a float) or complex, if |p - q| <= rel |p|, else
         ``None``; p itself when its own LU is cached.  Makes and reorders no
         LU."""
-        near = [key[1] for key in self if key[0] == "ApE" and not key[2]
-                and isinstance(key[1], complex) == isinstance(p, complex)
-                and abs(p - key[1]) <= rel * abs(p)]
+        near = [q for q in self if q != "E"
+                and isinstance(q, complex) == isinstance(p, complex)
+                and abs(p - q) <= rel * abs(p)]
         return min(near, key=lambda q: abs(p - q), default=None)
 
     def _factorize(self, key):
-        if key[0] == "E":
+        if key == "E":
             return _splu(self.e.tocsc(), "MMD_AT_PLUS_A")
-        p, mixed = key[1:]
-        m = self._symbolic.get(("pattern", mixed))
+        m = self._symbolic.get("pattern")
         if m is None:
-            m = self._symbolic.setdefault(("pattern", mixed),
-                                          self._pattern(p, mixed))
-        return _splu(_shifted(m, p), "NATURAL")
+            m = self._symbolic.setdefault("pattern", self._pattern(key))
+        return _splu(_shifted(m, key), "NATURAL")
 
-    def _pattern(self, p, mixed):
-        # A + 1j E (A + 1j E^T when mixed) on the union pattern permuted to
-        # [q][:, q]: A's and E's values as real and imaginary parts, so no
-        # cancellation.  Orders the pencil by an LU at Re(p) if nothing has.
+    def _pattern(self, p):
+        # A + 1j E on the union pattern permuted to [q][:, q]: A's and E's
+        # values as real and imaginary parts, so no cancellation.  Orders
+        # the pencil by an LU at Re(p) if nothing has.
         e = self.e if self.e is not None \
             else sp.identity(self.a.shape[0], format="csr")
-        m = (self.a + 1j * (e.T if mixed else e)).tocsc()
+        m = (self.a + 1j * e).tocsc()
         m.sort_indices()
         if "order" not in self._symbolic:
             try:  # q depends on the pattern alone: a real LU is cheaper
@@ -208,10 +202,6 @@ class OperatorSet:
         self.system = system
         self._cache = system.lu_cache if lus is None else lus
 
-    def size(self) -> int:
-        """Dimension n of the state space."""
-        return self.system.order
-
     # -- multiplications -----------------------------------------------------
 
     def mul_a(self, tr, x):
@@ -235,10 +225,9 @@ class OperatorSet:
         e = self.system.e
         return (e if tr == "N" else e.T) @ x
 
-    def mul_ape(self, tr_a, p, tr_e, x):
-        """((A + U V^T)^trA + p E^trE) @ x; complex ``p`` yields complex
-        output."""
-        return self.mul_a(tr_a, x) + p * self.mul_e(tr_e, x)
+    def mul_ape(self, tr, p, x):
+        """(A + U V^T + pE)^tr @ x; complex ``p`` yields complex output."""
+        return self.mul_a(tr, x) + p * self.mul_e(tr, x)
 
     # -- solves ----------------------------------------------------------------
 
@@ -252,7 +241,7 @@ class OperatorSet:
         rhs = b.reshape(-1, 1) if squeeze else b
         if q is not None:
             rhs = rhs[q]
-        if np.iscomplexobj(rhs) and not _complex_lu(key):
+        if np.iscomplexobj(rhs) and not isinstance(key, complex):
             k = rhs.shape[1]
             y = lu.solve(np.hstack([rhs.real, rhs.imag]), trans=tr)
             x = y[:, :k] + 1j * y[:, k:]
@@ -279,7 +268,7 @@ class OperatorSet:
         k = x.shape[1] - u.shape[1]
         y = x[:, 0] if b.ndim == 1 else x[:, :k]
         mu = x[:, k:]
-        if not _complex_lu(key):
+        if not isinstance(key, complex):
             mu = mu.real  # exact: a complex b only made the stack complex
         try:
             t = np.linalg.solve(np.eye(u.shape[1]) + v.T @ mu,
@@ -293,29 +282,27 @@ class OperatorSet:
         """Solve (A + U V^T)^tr X = B via Woodbury on the cached LU of A,
         the LU of the shift 0."""
         _check_trans(tr)
-        return self._woodbury(("ApE", 0.0, False), tr, b)
+        return self._woodbury(0.0, tr, b)
 
     def sol_e(self, tr, b):
         """Solve E^tr X = B; identity shortcut without E."""
         _check_trans(tr)
         if not self.system.have_e:
             return np.asarray(b)
-        return self._lu_solve(("E",), tr, b)
+        return self._lu_solve("E", tr, b)
 
     def sol_ape(self, tr_a, p, tr_e, b):
-        """Solve ((A + U V^T)^trA + p E^trE) X = B via Woodbury on the cached
-        LU of A + pE, one LU per distinct p.
+        """Solve (A + U V^T + pE)^tr X = B for ``tr = tr_a = tr_e`` via
+        Woodbury on the cached LU of A + pE, one LU per distinct p.
 
-        A singular shifted matrix (the shift equals a generalized eigenvalue
-        of the pencil) or a singular capacitance matrix raises
-        :class:`SingularOperatorError` so the caller can replace the shift.
+        Unequal flags raise ``ValueError``.  A singular shifted matrix (a
+        shift on a generalized eigenvalue of the pencil) or capacitance
+        matrix raises :class:`SingularOperatorError`, so the caller can
+        replace the shift.
         """
         _check_trans(tr_a)
-        _check_trans(tr_e)
-        # (N, N)/(T, T) share one factorization of A + pE; the mixed patterns
-        # (N, T)/(T, N) share one of A + pE^T.  Transposed systems reuse the
-        # factorization via a transposed triangular solve.
+        if tr_e != tr_a:
+            raise ValueError(f"A and E take one transpose flag, got {tr_a!r} "
+                             f"and {tr_e!r}")
         p = complex(p)
-        if p.imag == 0.0:
-            p = p.real
-        return self._woodbury(("ApE", p, tr_a != tr_e), tr_a, b)
+        return self._woodbury(p.real if p.imag == 0.0 else p, tr_a, b)

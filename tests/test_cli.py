@@ -114,6 +114,11 @@ class TestUsageErrors:
     def test_bad_flag_value(self):
         assert main(["lyap", "--demo-fd", "ten"]) == 1
 
+    @pytest.mark.parametrize("command", ["lyap", "care"])
+    def test_nan_tolerance(self, command):
+        # a usage error, not a run that cannot converge (exit code 2)
+        assert main([command, "--demo-fd", "5", "--tol", "nan"]) == 1
+
     def test_bad_range(self):
         assert main(["sigma-grid", "--mu-range", "5"]) == 1
 

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg as la
 
 import lrmor.lradi
-from lrmor import (AdiOptions, BenchConfig, LowRankFactor, LtiSystem,
-                   LyapunovSpec, OperatorSet, ShiftSet, SingularOperatorError,
-                   SolverError, balanced_truncation, gen_fd_laplacian,
-                   gen_thermal_block_mini, heuristic_shifts, lr_adi,
-                   lyap_residual, projection_shifts)
+from lrmor import (AdiOptions, BenchConfig, IrkaOptions, LowRankFactor,
+                   LtiSystem, LyapunovSpec, OperatorSet, ShiftSet,
+                   SingularOperatorError, SolverError, balanced_truncation,
+                   gen_fd_laplacian, gen_thermal_block_mini, heuristic_shifts,
+                   irka, lr_adi, lyap_residual, projection_shifts)
 from referees import dense_a_eff, dense_lyap_solve
 
 from conftest import random_stable_system, scalar_system, unstable_fd_system
@@ -45,6 +45,25 @@ class TestShiftSet:
         low = np.conj(top) + np.spacing(100.0) * 1j
         assert low != np.conj(top)
         assert len(ShiftSet([top, low])) == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: AdiOptions(shifts=[np.nan, np.nan]),
+        lambda: AdiOptions(shifts=[-np.inf]),
+        lambda: AdiOptions(shifts=[np.nan]),
+        lambda: irka(gen_fd_laplacian(6), 2,
+                     IrkaOptions(initial_shifts=[np.nan, np.nan]))],
+        ids=["nan-pair", "minus-inf", "nan", "irka-start"])
+    def test_rejects_non_finite_shifts(self, make):
+        # named before the sign, pair or singular-LU checks could misname it
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            make()
+
+
+class TestAdiOptions:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            AdiOptions(rel_tolerance=tol)
 
 
 class TestProjectionShifts:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrmor import (LowRankFactor, LtiSystem, NewtonOptions, OperatorSet,
+from lrmor import (AdiOptions, LowRankFactor, LtiSystem, OperatorSet,
                    RiccatiSpec, SolverError, gen_fd_laplacian,
                    heuristic_shifts, lqg_transform, lr_newton,
                    riccati_residual)
@@ -93,13 +93,12 @@ class TestLrNewton:
 
     def test_max_steps_returns_unconverged(self, fd7):
         res = lr_newton(RiccatiSpec(fd7, "T"),
-                        NewtonOptions(rel_tolerance=1e-14,
-                                      max_iterations=1))
+                        AdiOptions(rel_tolerance=1e-14, max_iterations=1))
         assert not res.converged
 
     def test_step_budget_exhausted_returns_unconverged(self, fd7):
         spec = RiccatiSpec(fd7, "T")
-        opts = NewtonOptions(max_iterations=2)
+        opts = AdiOptions(max_iterations=2)
         res = lr_newton(spec, opts)
         assert not res.converged
         assert len(res.newton_residuals) == 3
@@ -141,7 +140,7 @@ class TestLrNewton:
         # every shifted solve changes no bit of the result
         fd30 = gen_fd_laplacian(30)
         pool = heuristic_shifts(OperatorSet(fd30), num=14)
-        opts = NewtonOptions(shifts=pool)
+        opts = AdiOptions(shifts=pool)
         made = lu_count()
         res = lr_newton(RiccatiSpec(fd30, "T"), opts)
         assert res.converged
@@ -164,7 +163,7 @@ class TestLrNewton:
         sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)
         pool = [-1.0 + 2.0j, -1.0 - 2.0j, -3.0]
         res = lr_newton(RiccatiSpec(sys_, "T"),
-                        NewtonOptions(shifts=pool))
+                        AdiOptions(shifts=pool))
         assert res.converged
         # the pencil's ordering LU, then the pool's two: one complex for
         # the pair, one real
@@ -190,7 +189,7 @@ class TestLrNewton:
         # leading columns of the default run's Z, bit for bit
         full = lr_newton(RiccatiSpec(gen_fd_laplacian(10), "T"))
         short = lr_newton(RiccatiSpec(gen_fd_laplacian(10), "T"),
-                          NewtonOptions(max_iterations=5))
+                          AdiOptions(max_iterations=5))
         assert not short.converged and full.z.columns > short.z.columns > 0
         np.testing.assert_array_equal(short.z.z,
                                       full.z.z[:, :short.z.columns])
@@ -198,7 +197,7 @@ class TestLrNewton:
     @pytest.mark.parametrize("shifts", [[], np.zeros(0)])
     def test_empty_shift_pool_is_rejected(self, shifts):
         with pytest.raises(ValueError, match="empty"):
-            NewtonOptions(shifts=shifts)
+            AdiOptions(shifts=shifts)
 
 
 class TestClosedLoopCheck:
