@@ -102,7 +102,8 @@ def project(system: LtiSystem, v: np.ndarray, w: np.ndarray) -> Rom:
 
 
 def transfer_eval(system: LtiSystem, s) -> np.ndarray:
-    """H(s) = C (sE - A)^{-1} B + D; function form of LtiSystem.transfer."""
+    """H(s) = C (sE - A)^{-1} B + D; function form of LtiSystem.transfer
+    (an array of points takes its moment expansion)."""
     return system.transfer(s)
 
 

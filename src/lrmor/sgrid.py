@@ -8,10 +8,12 @@ with header ``mu,omega,value``.
 
 The sweeps know no model type: a parametric model's ``instantiate(mu)`` is
 called once per grid row and returns a non-parametric model, whose
-``transfer(s)`` takes the row's points as one vector.  A model without
-``instantiate`` is non-parametric and serves every row as it is.  A row
-that hits a singular point is redone point by point, so that only its
-singular cells become NaN.
+``transfer(s)`` takes the row's points as one vector; a full-order
+:class:`~lrmor.system.LtiSystem` serves the row's low frequencies from the
+moments of one LU of A and makes an LU for each other point.  A model
+without ``instantiate`` is non-parametric and serves every row as it is.  A
+row that hits a singular point is redone point by point, each point on its
+own LU, so that only its singular cells become NaN.
 
 Rows run on worker threads, one per CPU the process may use, since sparse
 LUs release the GIL.  The calling thread makes every ``instantiate(mu)``

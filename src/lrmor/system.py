@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import SingularOperatorError
 from .operators import LuCache, OperatorSet
+
+# terms of the moment expansion around s = 0 a point may take before it
+# goes to its own LU (see LtiSystem.transfer)
+MOMENT_TERMS = 40
+# the expansion's largest accepted residual ||(B - (sE - A) x) e_i|| /
+# ||B e_i||, for each input i
+MOMENT_TOL = 1e-15
 
 
 def as_sparse(m):
@@ -123,18 +131,94 @@ class LtiSystem:
 
     def transfer(self, s) -> np.ndarray:
         """H(s) = C (sE - A)^{-1} B + D: (p, m) for one point ``s``, (k, p, m)
-        for a 1-D array of k points, with one sparse LU per point.
+        for a 1-D array of k points.
 
-        Each LU is private to its point and gone before the next is made:
-        sweeps never repeat a point, and holding their LUs would only raise
-        memory.  The pencil's ordering and pattern are shared, so a sweep
-        orders the pencil once."""
-        if np.ndim(s):
-            h = [self.transfer(p) for p in s]
-            return np.stack(h) if h else np.empty((0,) + self.d.shape, complex)
+        One point takes one sparse LU of sE - A, private to the call and
+        gone when it returns; the pencil's ordering and pattern are shared,
+        so a sweep orders the pencil once.
+
+        An array first tries every point with the moment expansion around
+        s = 0: with v_0 = A^{-1} B and v_k = A^{-1} E v_{k-1}, all from one
+        real LU of A (Woodbury applies U V^T),
+
+            H(s) ~ D - C sum_{k<K} s^k v_k,
+
+        whose residual is exactly B - (sE - A) x_K = s^K E v_{K-1}.  A point
+        is served when |s|^K ||E v_{K-1} e_i|| <= ``MOMENT_TOL`` ||B e_i|| for
+        every input i.  It leaves the expansion unserved when, at the ratio
+        of the last two ||E v_k e_i||, some input would not be served within
+        ``MOMENT_TERMS`` terms.
+        Every unserved point takes its own LU as above, after A's LU is
+        gone, so the call holds one LU at a time; a singular A sends every
+        point there.  A point's value and path depend on the system and
+        that point alone."""
+        if not np.ndim(s):
+            ops = OperatorSet(self, self.lu_cache.private())
+            x = ops.sol_ape("N", -s, "N", self.b)
+            return -(self.c @ x) + self.d
+        points = np.asarray(s)
+        h = np.empty((len(points),) + self.d.shape, complex)
+        served = np.zeros(len(points), bool)
+        if len(points):
+            try:
+                served = self._moments(points, h)
+            except SingularOperatorError:
+                pass
+        for j in np.flatnonzero(~served):
+            h[j] = self.transfer(points[j])
+        return h
+
+    def _moments(self, points, h):
+        """Writes into ``h`` the points the moment expansion serves (see
+        :meth:`transfer`) and returns their mask.  A point's arithmetic is
+        real and elementwise, or on scalars, so its bits do not depend on
+        the other points: numpy's vector loops may fuse a complex product's
+        multiply and add where its scalar loop does not."""
         ops = OperatorSet(self, self.lu_cache.private())
-        x = ops.sol_ape("N", -s, "N", self.b)
-        return -(self.c @ x) + self.d
+        served = np.zeros(len(points), bool)
+        left = np.arange(len(points))  # the points still in the expansion
+        s_re, s_im = points.real.astype(float), points.imag.astype(float)
+        mag = np.array([abs(complex(p)) for p in points])
+        pow_re, pow_im = np.ones(len(points)), np.zeros(len(points))  # s^k
+        scale = np.ones(len(points))  # |s|^K after K terms
+        y_re = np.zeros((len(points),) + self.d.shape)  # sum of s^k C v_k
+        y_im = np.zeros_like(y_re)
+        tol = MOMENT_TOL * np.linalg.norm(self.b, axis=0)  # per input
+        v, last = ops.sol_a("N", self.b), None
+        # a point whose terms overflow is left unserved
+        with np.errstate(over="ignore", invalid="ignore"):
+            for terms in range(1, MOMENT_TERMS + 1):
+                cv = self.c @ v
+                y_re += pow_re[:, None, None] * cv
+                y_im += pow_im[:, None, None] * cv
+                ev = ops.mul_e("N", v)
+                r = np.linalg.norm(ev, axis=0)
+                scale *= mag
+                # |s|^K ||E v_{K-1} e_i|| for every input i, K = terms
+                done = (scale[:, None] * r <= tol).all(axis=1)
+                out = left[done]
+                h.real[out] = self.d - y_re[done]
+                h.imag[out] = -y_im[done]
+                served[out] = True
+                stay = ~done
+                if terms == MOMENT_TERMS:
+                    break
+                if last is not None:  # the certificates at the cap, at r/last
+                    rest = MOMENT_TERMS - terms
+                    ratio = np.divide(r, last, out=np.zeros_like(r),
+                                      where=last > 0)
+                    at_cap = [[c * f ** rest for c, f in zip(*row)] for row in
+                              zip(scale[:, None] * r, mag[:, None] * ratio)]
+                    stay &= (np.array(at_cap) <= tol).all(axis=1)
+                if not stay.any():
+                    break
+                left, s_re, s_im, mag, scale, y_re, y_im = (
+                    x[stay]
+                    for x in (left, s_re, s_im, mag, scale, y_re, y_im))
+                pow_re, pow_im = (pow_re[stay] * s_re - pow_im[stay] * s_im,
+                                  pow_re[stay] * s_im + pow_im[stay] * s_re)
+                v, last = ops.sol_a("N", ev), r
+        return served
 
     def with_update(self, u, v) -> "LtiSystem":
         """Copy of the system carrying the low-rank update ``u v^T``; it

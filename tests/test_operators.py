@@ -579,8 +579,9 @@ class TestSharedLuCache:
     def test_transfer_over_points_holds_one_lu_at_a_time(self, rng,
                                                          monkeypatch,
                                                          permc_specs):
-        # bound: one call over 15 points orders the pencil once and keeps
-        # no LU; each point's LU is gone before the next one is made
+        # bound: one call over 15 points orders the pencil once, makes A's
+        # real LU for the moments, then one complex LU per point they do
+        # not serve, and keeps no LU; each LU is gone before the next one
         sys_ = _rand_sys(rng, n=10)
         private_caches = []
         private = LuCache.private
@@ -591,13 +592,14 @@ class TestSharedLuCache:
             return out
 
         monkeypatch.setattr(LuCache, "private", tracked)
-        held = []
+        held, kinds = [], []
         recording = lrmor.operators.splu  # permc_specs records the LUs
 
-        def counting(*args, **kwargs):
+        def counting(m, *args, **kwargs):
             held.append(sum(len(ref()) for ref in private_caches
                             if ref() is not None))
-            return recording(*args, **kwargs)
+            kinds.append(m.dtype.kind)
+            return recording(m, *args, **kwargs)
 
         monkeypatch.setattr(lrmor.operators, "splu", counting)
         omegas = np.logspace(-2, 2, 15)
@@ -605,9 +607,12 @@ class TestSharedLuCache:
         ref = sys_.c @ np.linalg.solve(
             1j * omegas[-1] * sys_.dense_e() - sys_.a.toarray(), sys_.b)
         np.testing.assert_allclose(h[-1], ref, rtol=1e-10)
-        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 15
+        unserved = len(permc_specs) - 2
+        assert 0 < unserved < len(omegas)
+        assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (1 + unserved)
+        assert kinds == ["f", "f"] + ["c"] * unserved
         assert len(sys_.lu_cache) == 0
-        assert held == [0] * 16
+        assert held == [0] * len(permc_specs)
 
     def test_sol_a_shares_the_lu_of_shift_zero(self, rng, lu_count):
         sys_ = _rand_sys(rng, n=10, k=2)
@@ -654,6 +659,68 @@ class TestSharedLuCache:
                           lu_cache=sys_.lu_cache)
         assert other.lu_cache is not sys_.lu_cache
         assert other.lu_cache.a is other.a
+
+
+class TestTransferMoments:
+    """``transfer`` over points serves low frequencies from the moments of
+    A's one real LU and gives every other point its own LU."""
+
+    @pytest.fixture(scope="class")
+    def thermal16(self):
+        return gen_thermal_block_mini(BenchConfig(grid_size=16))
+
+    def test_each_point_as_if_alone(self, rng, thermal16):
+        # a point's value and path do not depend on the other points
+        omegas = np.logspace(-4, 4, 40)
+        points = np.concatenate([1j * omegas, -0.3 + 1j * omegas[::7],
+                                 [0.0, 0.5]])
+        for sys_ in (thermal16.instantiate(1.0),
+                     _rand_sys(rng, n=12, m=2, k=2)):
+            h = sys_.transfer(points)
+            for j in range(len(points)):
+                np.testing.assert_array_equal(
+                    h[j], sys_.transfer(points[j:j + 1])[0])
+
+    def test_singular_a_gives_scalar_calls(self):
+        # an integrator: A is exactly singular, so no point takes moments
+        sys_ = LtiSystem(a=[[0.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                            [0.0, 0.0, -2.0]],
+                         b=[[0.0], [0.0], [1.0]], c=[[1.0, 0.0, 0.0]])
+        points = 1j * np.logspace(-4, 4, 9)
+        h = sys_.transfer(points)
+        np.testing.assert_array_equal(
+            h, np.stack([sys_.transfer(s) for s in points]))
+        np.testing.assert_allclose(h[0], 1.0 / (points[0] * (points[0] + 1)
+                                               * (points[0] + 2)))
+
+    def test_each_input_has_its_own_certificate(self, lu_count):
+        # the second input is 1e-8 of the first: a certificate on ||B||_F
+        # would serve the point before that input's column converged
+        sys_ = LtiSystem(a=np.diag([-1.0, -0.01]), b=np.diag([1.0, 1e-8]),
+                         c=np.eye(2))
+        s = 1e-3j
+        h = sys_.transfer(np.array([s]))[0]
+        assert lu_count() == 2  # the ordering LU and A's: served by moments
+        exact = np.diag(np.array([1.0, 1e-8]) / (s + np.array([1.0, 0.01])))
+        np.testing.assert_allclose(h, exact, rtol=1e-14)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1.0, 100.0])
+    def test_row_lus_are_one_plus_one_per_unserved_point(
+            self, thermal16, lu_count, monkeypatch, mu):
+        masks = []
+        moments = LtiSystem._moments
+
+        def recorded(self, points, h):
+            masks.append(moments(self, points, h))
+            return masks[-1]
+
+        monkeypatch.setattr(LtiSystem, "_moments", recorded)
+        omegas = np.logspace(-4, 4, 40)
+        thermal16.instantiate(mu).transfer(1j * omegas)
+        [served] = masks
+        assert served.sum() >= len(omegas) // 2
+        # the ordering LU, A's, then one per point the moments leave
+        assert lu_count() == 1 + 1 + (~served).sum()
 
 
 class TestNearest:

@@ -197,3 +197,20 @@ def test_irka_interpolates_at_its_shifts(seed, n, m, p, with_e, k, r):
     for s, b_dir, c_dir in zip(res.shifts, res.b_dirs, res.c_dirs):
         gaps = _hermite_gaps(e, a, sys_.b, sys_.c, res.rom, s, b_dir, c_dir)
         assert max(gaps) <= 1e-8, (s, gaps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 2), p=st.integers(1, 2), k=st.sampled_from([0, 2]))
+def test_transfer_over_points_matches_dense_solves(seed, n, m, p, k):
+    # low frequencies come from the moments of A's LU, the others from an
+    # LU per point: both must match the dense pencil
+    sys_ = _stable_system(seed, n, m, p, False, k)
+    e = np.diag(0.5 + np.random.default_rng(seed).random(n))
+    sys_ = LtiSystem(a=sys_.a, b=sys_.b, c=sys_.c, e=e, u=sys_.u, v=sys_.v)
+    points = 1j * np.logspace(-3, 3, 25)
+    h = sys_.transfer(points)
+    a = dense_a_eff(sys_)
+    for s, hs in zip(points, h):
+        ref = sys_.c @ np.linalg.solve(s * e - a, sys_.b)
+        assert np.linalg.norm(hs - ref) <= 1e-9 * np.linalg.norm(ref)
