@@ -20,8 +20,8 @@ heuristic set computed once from Arnoldi runs with A and A^{-1} is the
 alternative: ``AdiOptions(shifts=heuristic_shifts(OperatorSet(system)))``
 cycles it as a fixed pool.
 
-A run takes its shifts from outside one step at a time; :func:`lr_adi` and
-:func:`_gramian_pair` (both Gramians on one schedule) drive runs.
+:func:`_drive` steps every run on a :func:`_schedule`: :func:`lr_adi`'s, both
+of :func:`_gramian_pair`'s, and :func:`~lrmor.lrnm.lr_newton`'s RADI run.
 """
 
 from __future__ import annotations
@@ -270,16 +270,34 @@ def _schedule(ops: OperatorSet, pool: ShiftSet | None, w):
         basis = np.hstack(list(recent))
 
 
+def _also(run, schedule, blocks):
+    """``schedule``, with ``run`` taking each shift, while not done, before
+    the driven run does; ``run``'s solve blocks go to ``blocks``."""
+    shift = next(schedule)
+    while True:
+        if not run.done:
+            blocks.append(run.step(*shift))
+        shift = schedule.send((yield shift))
+
+
+def _drive(run, schedule):
+    """Steps ``run`` on ``schedule``, sending each block back, until done."""
+    block = None
+    while not run.done:
+        block = run.step(*schedule.send(block))
+
+
 class _AdiRun:
-    """One LR-ADI run on ``side`` of the pencil behind ``ops``: :meth:`step`
-    takes one step with the shift it is given and returns the solve block;
-    ``done`` once the monitor meets the tolerance or the budget is spent."""
+    """One ADI-type run on ``side`` of the pencil behind ``ops``: :meth:`step`
+    solves with the shift it is given, lets :meth:`_advance` (LR-ADI's update;
+    RADI overrides it) update W and Z, and returns the solve block.  The
+    monitor ||W||^2 / ||G||^2 ends the run at the tolerance, and raises
+    :class:`SolverError` above 1/eps or when not finite."""
 
     def __init__(self, ops: OperatorSet, side: str, opts: AdiOptions):
         self.ops, self.side, self.opts = ops, side, opts
-        g = constant_term_factor(ops.system, side)
-        self.res0 = spectral_norm(g) ** 2
-        self.w = g.astype(float).copy()
+        self.w = constant_term_factor(ops.system, side)
+        self.res0 = spectral_norm(self.w) ** 2
         self.zblocks, self.used, self.history, self.columns = [], [], [], []
         self.it, self.converged = 0, self.res0 == 0.0
 
@@ -288,41 +306,45 @@ class _AdiRun:
         return self.converged or self.it >= self.opts.max_iterations
 
     def step(self, p, width) -> np.ndarray:
-        ops, side, w = self.ops, self.side, self.w
         p = complex(p)
         try:
-            v = ops.sol_ape(side, p.real if width == 1 else p, side, w)
+            v = self.ops.sol_ape(self.side, p.real if width == 1 else p,
+                                 self.side, self.w)
         except SingularOperatorError as exc:
             raise SingularOperatorError(
                 f"shift {p} coincides with a generalized eigenvalue") from exc
+        block = self._advance(p, width, v)
+        pair = [p, np.conj(p)] if p.imag > 0 else [np.conj(p), p]
+        self.used.extend([complex(p.real, 0.0)] if width == 1 else pair)
+        self.it += width
+        try:  # an overflowed W has a NaN norm, or its SVD fails
+            rel = spectral_norm(self.w) ** 2 / self.res0
+        except (OverflowError, np.linalg.LinAlgError):
+            rel = np.inf
+        if not rel <= 1.0 / np.finfo(float).eps:
+            raise SolverError(
+                f"ADI diverged: the residual monitor exceeds 1/eps or is not "
+                f"finite after {self.it} iterations (is the pencil unstable?)")
+        self.history.extend([rel] * width)
+        self.columns.extend([self.w.shape[1] * self.it] * width)
+        self.converged = rel <= self.opts.rel_tolerance
+        return block
+
+    def _advance(self, p, width, v) -> np.ndarray:
+        """Updates W and Z from the solve ``v`` with p; returns the block."""
+        ops, side, w = self.ops, self.side, self.w
         if width == 1:
             block = np.real(v)
             self.w = w - 2.0 * p.real * ops.mul_e(side, block)
             self.zblocks.append(np.sqrt(-2.0 * p.real) * block)
-            self.used.append(complex(p.real, 0.0))
-        else:
-            delta = p.real / p.imag
-            gamma = 2.0 * np.sqrt(-p.real)
-            vr = v.real + delta * v.imag
-            self.w = w + gamma ** 2 * ops.mul_e(side, vr)
-            self.zblocks.append(gamma * vr)
-            self.zblocks.append(gamma * np.sqrt(delta ** 2 + 1.0) * v.imag)
-            block = np.hstack([vr, v.imag])
-            self.used.extend([p, np.conj(p)] if p.imag > 0
-                             else [np.conj(p), p])
-        self.it += width
-        try:
-            rel = spectral_norm(self.w) ** 2 / self.res0
-        except OverflowError:
-            rel = np.inf
-        if not np.isfinite(rel):
-            raise SolverError(
-                f"LR-ADI diverged: the residual monitor is not finite after "
-                f"{self.it} iterations (is the pencil unstable?)")
-        self.history.extend([rel] * width)
-        self.columns.extend([w.shape[1] * self.it] * width)
-        self.converged = rel <= self.opts.rel_tolerance
-        return block
+            return block
+        delta = p.real / p.imag
+        gamma = 2.0 * np.sqrt(-p.real)
+        vr = v.real + delta * v.imag
+        self.w = w + gamma ** 2 * ops.mul_e(side, vr)
+        self.zblocks.append(gamma * vr)
+        self.zblocks.append(gamma * np.sqrt(delta ** 2 + 1.0) * v.imag)
+        return np.hstack([vr, v.imag])
 
     def result(self) -> AdiResult:
         z = LowRankFactor(np.hstack(self.zblocks) if self.zblocks
@@ -343,13 +365,11 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
     factor comes back with ``converged=False``.  Once the monitor meets the
     tolerance, ``converged`` says whether :func:`lyap_residual` of the
     returned factor does too: near roundoff the monitor can read lower.  A
-    residual monitor that is not finite raises :class:`SolverError`: the
-    iteration diverged.
+    residual monitor that exceeds 1/eps or is not finite raises
+    :class:`SolverError`: the iteration diverged.
     """
     run = _AdiRun(OperatorSet(spec.system), spec.side, opts or AdiOptions())
-    schedule, block = _schedule(run.ops, run.opts.shifts, run.w), None
-    while not run.done:
-        block = run.step(*schedule.send(block))
+    _drive(run, _schedule(run.ops, run.opts.shifts, run.w))
     result = run.result()
     if result.converged:
         result.converged = (lyap_residual(spec, result.z).relative
@@ -360,20 +380,14 @@ def lr_adi(spec: LyapunovSpec, opts: AdiOptions | None = None) -> AdiResult:
 def _gramian_pair(system, opts: AdiOptions) -> tuple[AdiResult, AdiResult]:
     """LR-ADI runs for the Gramians P (side "N") and Q (side "T") of
     ``system`` on one operator set: P's run is :func:`lr_adi`'s, and Q takes
-    each of P's shifts, reused ones too, right after P, on the LU P just
-    made.  Once P has converged, Q goes on alone on a schedule of its own
-    latest blocks, which reuses only the shifts it has yielded itself."""
+    each of P's shifts, reused ones too, just before P, on the same LU.
+    Once P has converged, Q goes on alone on a schedule of its own latest
+    blocks, which reuses only the shifts it has yielded itself."""
     ops = OperatorSet(system)
-    runs = _AdiRun(ops, "N", opts), _AdiRun(ops, "T", opts)
-    schedule, block = _schedule(ops, opts.shifts, runs[0].w), None
-    recent = []
-    while not runs[0].done:
-        shift = schedule.send(block)
-        block = runs[0].step(*shift)
-        if not runs[1].done:
-            recent.append(runs[1].step(*shift))
-    basis = np.hstack(recent[-_BATCH:] or [runs[1].w])
-    schedule, block = _schedule(ops, opts.shifts, basis), None
-    while runs[0].converged and not runs[1].done:
-        block = runs[1].step(*schedule.send(block))
-    return runs[0].result(), runs[1].result()
+    p, q = _AdiRun(ops, "N", opts), _AdiRun(ops, "T", opts)
+    blocks = []
+    _drive(p, _also(q, _schedule(ops, opts.shifts, p.w), blocks))
+    if p.converged:
+        basis = np.hstack(blocks[-_BATCH:] or [q.w])
+        _drive(q, _schedule(ops, opts.shifts, basis))
+    return p.result(), q.result()

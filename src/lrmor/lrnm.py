@@ -16,7 +16,9 @@ closed loop A + [U, -B] [V, K]^T, so each shift is one ``sol_ape`` on the
 pencil's cached LU of A + sE with one Woodbury step for the update.  A
 conjugate pair takes one complex solve: the conjugate shift's block is
 V P + conj(V) (I - P) for a p x p matrix P, so the pair updates R, K and Z
-on the real basis [Re V, Im V].  Side "N" runs on the transposed system.
+on the real basis [Re V, Im V].  Side "N" runs on the same pencil and its
+LUs, untransposed: R starts at B, C^T takes B's place, and the closed loop
+is A + [U, K] [V, -C^T]^T.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .equations import (LowRankFactor, RiccatiSpec, constant_term_factor,
-                        riccati_residual, spectral_norm)
-from .errors import SolverError
-from .lradi import AdiOptions, _schedule, heuristic_shifts
+from .equations import LowRankFactor, RiccatiSpec, riccati_residual
+from .lradi import (AdiOptions, _AdiRun, _drive, _schedule,
+                    heuristic_shifts)
 from .operators import OperatorSet
 
 
@@ -66,6 +67,31 @@ def _update(s, width, u, b):
     return coef[:, :-q].real, vecs * np.sqrt(np.maximum(lam, 0.0))
 
 
+class _RadiRun(_AdiRun):
+    """RADI on ``side``: W is R, the solves are with the closed loop, and K
+    is the trailing columns of the loop's update, updated in place."""
+
+    def __init__(self, system, side, opts):
+        self.quad = system.b if side == "T" else system.c.T
+        zero = np.zeros_like(self.quad)
+        u, v = (system.u, system.v) if system.have_uv else (zero[:, :0],) * 2
+        tail = (-self.quad, zero) if side == "T" else (zero, -self.quad)
+        loop = system.with_update(np.hstack([u, tail[0]]),
+                                  np.hstack([v, tail[1]]))
+        self.k = (loop.v if side == "T" else loop.u)[:, -zero.shape[1]:]
+        super().__init__(OperatorSet(loop), side, opts)
+
+    def _advance(self, s, width, v):
+        v = np.sqrt(-2.0 * s.real) * v
+        block = v if width == 1 else np.hstack([v.real, v.imag])
+        coef, zfac = _update(s, width, block, self.quad)
+        update = self.ops.mul_e(self.side, block) @ coef
+        self.w = self.w + update[:, :self.w.shape[1]]
+        self.k += update[:, self.w.shape[1]:]
+        self.zblocks.append(block @ zfac)
+        return block
+
+
 def lr_newton(spec: RiccatiSpec, opts: AdiOptions | None = None
               ) -> NewtonResult:
     """Solve the Riccati equation of ``spec`` by RADI for Q ~ Z Z^T and the
@@ -79,50 +105,19 @@ def lr_newton(spec: RiccatiSpec, opts: AdiOptions | None = None
     and after each shift (a conjugate pair records its residual twice); the
     last entry, and ``converged``, come from :func:`riccati_residual` of the
     returned factor.  Running out of steps returns the partial factor with
-    ``converged=False``; a residual that is not finite or exceeds 1/eps
+    ``converged=False``; a residual that exceeds 1/eps or is not finite
     raises :class:`SolverError`.
     """
     opts = opts or AdiOptions()
-    if spec.side == "N":
-        return lr_newton(RiccatiSpec(spec.system.transposed(), "T"), opts)
-    system = spec.system
-    ops = OperatorSet(system)
-    n, b = system.order, system.b
-    u, v = (system.u, system.v) if system.have_uv else (b[:, :0], b[:, :0])
-    loop = OperatorSet(system.with_update(np.hstack([u, -b]),
-                                          np.hstack([v, np.zeros_like(b)])))
-    # K is the closed loop's trailing m update columns, updated in place
-    r, k = constant_term_factor(system, "T"), loop.system.v[:, -b.shape[1]:]
-    c_norm = spectral_norm(r)
-    if c_norm == 0.0:
-        return NewtonResult(LowRankFactor(np.zeros((n, 0))), k.T, [0.0], True)
-
-    pool = opts.shifts if opts.shifts is not None else heuristic_shifts(ops)
-    schedule, block = _schedule(ops, pool, r), None
-    zblocks, residuals, it = [], [1.0], 0
-    # the pencil keeps every pool shift (and A, E) for the whole iteration
-    with system.lu_cache.holding(len(pool) + 2):
-        while residuals[-1] > opts.rel_tolerance \
-                and it < opts.max_iterations:
-            s, width = schedule.send(block)
-            v = np.sqrt(-2.0 * s.real) * loop.sol_ape(
-                "T", s.real if width == 1 else s, "T", r)
-            block = v if width == 1 else np.hstack([v.real, v.imag])
-            coef, zfac = _update(s, width, block, b)
-            update = ops.mul_e("T", block) @ coef
-            r = r + update[:, :r.shape[1]]
-            k += update[:, r.shape[1]:]
-            zblocks.append(block @ zfac)
-            it += width
-            ratio = spectral_norm(r) / c_norm if np.isfinite(r).all() \
-                else np.inf
-            if not ratio <= np.finfo(float).eps ** -0.5:
-                raise SolverError(
-                    f"RADI diverged: the residual exceeds 1/eps or is not "
-                    f"finite after {it} steps (is the pencil unstable?)")
-            residuals.extend([ratio ** 2] * width)
-    z = LowRankFactor(np.hstack(zblocks) if zblocks else np.zeros((n, 0)))
+    run = _RadiRun(spec.system, spec.side, opts)
+    if not run.done:
+        pool = opts.shifts if opts.shifts is not None \
+            else heuristic_shifts(OperatorSet(spec.system))
+        # the pencil keeps every pool shift (and A, E) for the whole run
+        with spec.system.lu_cache.holding(len(pool) + 2):
+            _drive(run, _schedule(run.ops, pool, run.w))
+    z = run.result().z
+    residuals = [1.0] + run.history
     residuals[-1] = riccati_residual(spec, z).relative
-    return NewtonResult(z, k.T, residuals,
+    return NewtonResult(z, run.k.T, residuals,
                         residuals[-1] <= opts.rel_tolerance)
-

@@ -226,14 +226,5 @@ class LtiSystem:
         return LtiSystem(a=self.a, b=self.b, c=self.c, e=self.e, d=self.d,
                          u=u, v=v, lu_cache=self.lu_cache)
 
-    def transposed(self) -> "LtiSystem":
-        """The dual realization (E^T, A^T, C^T, B^T, D^T); U, V swap roles."""
-        u = v = None
-        if self.have_uv:
-            u, v = self.v, self.u
-        return LtiSystem(a=self.a.T, b=self.c.T, c=self.b.T,
-                         e=self.e.T if self.have_e else None,
-                         d=self.d.T, u=u, v=v)
-
     def dense_e(self) -> np.ndarray:
         return self.e.toarray() if self.have_e else np.eye(self.order)

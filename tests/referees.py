@@ -184,9 +184,20 @@ def transformed_residual(transform: BalancingTransform, x: np.ndarray,
     return lin + b @ b.T + transform.quad_sign * quad
 
 
+def transposed(system: LtiSystem) -> LtiSystem:
+    """The dual realization (E^T, A^T, C^T, B^T, D^T); U, V swap roles."""
+    u = v = None
+    if system.have_uv:
+        u, v = system.v, system.u
+    return LtiSystem(a=system.a.T, b=system.c.T, c=system.b.T,
+                     e=system.e.T if system.have_e else None,
+                     d=system.d.T, u=u, v=v)
+
+
 def closed_loop_check(spec: RiccatiSpec, k: np.ndarray) -> bool:
-    """Whether the closed-loop pencil (A_eff - B K, E) is stable."""
-    system = spec.system if spec.side == "T" else spec.system.transposed()
+    """Whether the closed-loop pencil (A_eff - B K, E) is stable; side "N"
+    checks (A_eff^T - C^T K, E^T)."""
+    system = spec.system if spec.side == "T" else transposed(spec.system)
     acl = dense_a_eff(system) - system.b @ np.atleast_2d(k)
     stable, _ = stability_check(system.e, acl)
     return stable

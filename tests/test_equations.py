@@ -6,7 +6,7 @@ from lrmor import (LowRankFactor, LyapunovSpec, RiccatiSpec,
                    SingularOperatorError, SolverError, lyap_residual,
                    riccati_residual)
 from referees import (dense_a_eff, dense_are_solve, dense_lyap_solve,
-                      spsd_factor, stability_check)
+                      spsd_factor, stability_check, transposed)
 
 from conftest import random_stable_system, scalar_system
 
@@ -73,7 +73,7 @@ class TestLyapResidual:
         sys_ = random_stable_system(rng, 5, m=2, p=3, with_e=True)
         z = rng.standard_normal((5, 2))
         obs = lyap_residual(LyapunovSpec(sys_, "T"), LowRankFactor(z))
-        ctrl = lyap_residual(LyapunovSpec(sys_.transposed(), "N"),
+        ctrl = lyap_residual(LyapunovSpec(transposed(sys_), "N"),
                              LowRankFactor(z))
         assert obs.absolute == pytest.approx(ctrl.absolute, rel=1e-12)
 

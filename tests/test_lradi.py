@@ -261,14 +261,23 @@ class TestLrAdi:
         np.testing.assert_allclose(res_splr.z.z, res_dense.z.z, atol=1e-9)
 
     @pytest.mark.parametrize("strategy", ["projection", "heuristic"])
-    def test_divergence_raises_solver_error(self, strategy):
-        # every eigenvalue is unstable: the residual grows until its norm
-        # overflows, which must name the divergence, not leak OverflowError
+    def test_divergence_raises_solver_error(self, strategy, monkeypatch):
+        # every eigenvalue is unstable: the residual grows, which must name
+        # the divergence once the monitor exceeds 1/eps, within a few steps
+        # and without leaking OverflowError
         sys_ = unstable_fd_system()
         shifts = heuristic_shifts(OperatorSet(sys_)) \
             if strategy == "heuristic" else None
-        with pytest.raises(SolverError, match="diverged"):
+        widths, step = [], lrmor.lradi._AdiRun.step
+
+        def counting(run, p, width):
+            widths.append(width)
+            return step(run, p, width)
+
+        monkeypatch.setattr(lrmor.lradi._AdiRun, "step", counting)
+        with pytest.raises(SolverError, match="diverged.*exceeds 1/eps"):
             lr_adi(LyapunovSpec(sys_, "N"), AdiOptions(shifts=shifts))
+        assert 0 < sum(widths) <= 10
 
 
 class TestShiftSchedule:

@@ -46,18 +46,33 @@ class TestLrNewton:
 
     def test_side_n_by_transposition(self, rng):
         sys_ = random_stable_system(rng, 10, m=2, p=2)
-        res = lr_newton(RiccatiSpec(sys_, "N"))
+        spec = RiccatiSpec(sys_, "N")
+        res = lr_newton(spec)
         assert res.converged
         p_ref = dense_are_solve(None, sys_.a.T, sys_.c.T, sys_.b.T)
         err = np.linalg.norm(res.z.dense() - p_ref, 2)
         assert err <= 1e-6 * np.linalg.norm(p_ref, 2)
+        assert closed_loop_check(spec, res.k)
+
+    @pytest.mark.parametrize("first, second", [("T", "N"), ("N", "T")])
+    def test_both_sides_share_the_pencils_lus(self, lu_count, first,
+                                              second):
+        # one pencil, one LU per shift: the second side's solves are the
+        # transposes of the first side's on the same LUs
+        model = gen_fd_laplacian(30)
+        assert lr_newton(RiccatiSpec(model, first)).converged
+        made = lu_count()
+        assert made > 0
+        assert lr_newton(RiccatiSpec(model, second)).converged
+        assert lu_count() == made
 
     def test_unstable_pencil_divergence_raises_solver_error(self):
         # from K = 0 the stable shifts of an unstable pencil blow the
         # residual up, and the solver must say so instead of leaking
-        # OverflowError
-        with pytest.raises(SolverError, match="diverged"):
-            lr_newton(RiccatiSpec(unstable_fd_system(), "T"))
+        # OverflowError, on either side
+        for side in "TN":
+            with pytest.raises(SolverError, match="diverged.*exceeds 1/eps"):
+                lr_newton(RiccatiSpec(unstable_fd_system(), side))
 
     def test_residuals_non_increasing(self, rng):
         sys_ = random_stable_system(rng, 12, m=2, p=2, with_e=True)

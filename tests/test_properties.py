@@ -38,16 +38,27 @@ def _stable_system(seed, n, m, p, with_e, k):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
        m=st.integers(1, 3), p=st.integers(1, 3), with_e=st.booleans(),
-       k=st.sampled_from([0, 2]))
+       k=st.sampled_from([0, 2]), side=st.sampled_from(["T", "N"]))
 def test_newton_with_shift_pool_matches_dense_oracle(seed, n, m, p, with_e,
-                                                     k):
+                                                     k, side):
+    # side "N" solves for P on the same pencil: the oracle takes the dual
+    # data (E^T, A_eff^T, C^T, B^T), and K = C P E^T
     sys_ = _stable_system(seed, n, m, p, with_e, k)
-    res = lr_newton(RiccatiSpec(sys_, "T"))
+    res = lr_newton(RiccatiSpec(sys_, side))
     assert res.converged
     assert res.newton_residuals[-1] <= 1e-9
-    q_ref = dense_are_solve(sys_.e, dense_a_eff(sys_), sys_.b, sys_.c)
-    err = np.linalg.norm(res.z.dense() - q_ref, 2)
-    assert err <= 1e-6 * np.linalg.norm(q_ref, 2)
+    a, e, b, c = dense_a_eff(sys_), sys_.e, sys_.b, sys_.c
+    e_dense = sys_.dense_e()
+    if side == "N":
+        a, b, c, e_dense = a.T, c.T, b.T, e_dense.T
+        e = None if e is None else e.T
+    ref = dense_are_solve(e, a, b, c)
+    err = np.linalg.norm(res.z.dense() - ref, 2)
+    assert err <= 1e-6 * np.linalg.norm(ref, 2)
+    k_ref = b.T @ ref @ e_dense
+    err = np.linalg.norm(res.k - k_ref, 2)
+    assert err <= 1e-6 * np.linalg.norm(b, 2) * np.linalg.norm(ref, 2) \
+        * np.linalg.norm(e_dense, 2)
 
 
 def test_riccati_regression_example_matches_dense_oracle():
